@@ -39,16 +39,22 @@ EXIT_IO = 5
 _SETS = ("w", "fov", "wl", "wh", "phik", "wnorm")
 
 
-def _resolve_seed(flag_value) -> int:
+def _resolve_seed(flag_value) -> int | None:
+    """``--seed``, else ``NRANGE_SEED``, else 0.
+
+    Returns None, after a one-line message on stderr, when ``NRANGE_SEED``
+    is needed but is not an integer.
+    """
     if flag_value is not None:
         return int(flag_value)
     env = os.environ.get("NRANGE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 0
+    if env is None:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        print(f"error: NRANGE_SEED must be an integer, got {env!r}", file=sys.stderr)
+        return None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -191,6 +197,8 @@ def _region_reach(region) -> float:
 def _cmd_verify(args) -> int:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     seed = _resolve_seed(args.seed)
+    if seed is None:
+        return EXIT_USAGE
     results = run_suites(names, seed, args.tol)
     failed = [r for r in results if not r.passed]
     width = max(len(f"{r.suite}/{r.name}") for r in results)
@@ -254,6 +262,8 @@ def _figure_sec3(seed: int) -> str:
 
 def _cmd_reproduce(args) -> int:
     seed = _resolve_seed(args.seed)
+    if seed is None:
+        return EXIT_USAGE
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -194,6 +194,19 @@ class TestReproduce:
         main(["reproduce", "--figure", "sec2-example", "--out-dir", str(d2), "--seed", "33"])
         assert (d1 / "sec2-example.svg").read_bytes() == (d2 / "sec2-example.svg").read_bytes()
 
+    def test_env_seed_not_integer_is_usage(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("NRANGE_SEED", "abc")
+        out_dir = tmp_path / "a"
+        for argv in (
+            ["reproduce", "--figure", "sec2-example", "--out-dir", str(out_dir)],
+            ["verify", "--suite", "prop12"],
+        ):
+            assert main(argv) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and "NRANGE_SEED" in captured.err
+        assert not out_dir.exists()
+
     def test_io_failure_exit_code(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")

@@ -79,6 +79,27 @@ class TestFovBoundary:
         rotated = fov_boundary(np.exp(1j * phi) * a, 360)
         assert np.max(np.abs(np.roll(base.support, 30) - rotated.support)) <= 1e-9
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 60])
+    @pytest.mark.parametrize("n_angles", [8, 37, 720])
+    def test_bit_identical_to_per_angle_loop(self, rng, n, n_angles):
+        # n = 60 spans many stacked blocks; 37 angles leave a ragged last block
+        a = rand_complex(rng, n, n)
+        curve = fov_boundary(a, n_angles)
+        support = np.empty(n_angles)
+        points = np.empty(n_angles, dtype=complex)
+        for j, theta in enumerate(curve.angles):
+            rot = np.exp(-1j * theta) * a
+            w, v = np.linalg.eigh((rot + rot.conj().T) / 2.0)
+            x = v[:, -1]
+            support[j], points[j] = w[-1], x.conj() @ a @ x
+        assert np.array_equal(curve.support, support)
+        assert np.array_equal(curve.points, points)
+
+    def test_rejects_overflowing_hermitian_part(self):
+        a = np.array([[1e308, 1e308], [-1e308, 1e308]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            fov_boundary(a, 16)
+
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError, match="angles"):
             fov_boundary(np.eye(2), 4)
