@@ -20,7 +20,7 @@ for k in (1, 2, 3, 4):
 # Certify a point in the k=2 ring with an explicit isometry pair.
 z = 0.5 * (sig[1] + sig[2]) * np.exp(0.8j)
 wit = find_witness(A, 2, z, seed=0)
-print(f"\nwitness for z={z:.6f}: residual={wit.residual:.2e} (restarts={wit.restarts_used})")
+print(f"\nwitness for z={z:.6f}: residual={wit.residual:.2e} (restarts={wit.restarts_used}, iterations={wit.iterations})")
 print("membership by the interlacing inequalities:", rank_k_contains(A, 2, z))
 
 outside = 1.3 * sig[0]

@@ -73,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--angles", type=int, default=720)
     comp.add_argument("--out", required=True, help="region JSON output path")
     comp.add_argument("--svg", default=None, help="optional SVG output path")
-    comp.add_argument("--seed", type=int, default=None)
 
     ver = sub.add_parser("verify", help="run the named property suites")
     ver.add_argument("--suite", required=True, choices=("all",) + tuple(SUITE_NAMES))

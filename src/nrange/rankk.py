@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Annulus, Disc, Empty, Point, Region, Segment, normalize_region
-from .linalg import as_matrix, hermitian_eigen, isometry_defect, random_isometry, svd
+from .linalg import as_matrix, hermitian_eigen, random_isometry, svd
 
 __all__ = [
     "ProjectorBoundReport",
@@ -48,6 +48,7 @@ class WitnessPair:
     value: complex
     residual: float    # ||left* A right - value I||_F
     restarts_used: int
+    iterations: int    # left/right iteration pairs the returned restart ran
 
 
 def rank_k_region(a, k: int) -> RankKRegion:
@@ -129,61 +130,77 @@ def hermitian_rank_interval(hm, k: int) -> Region:
 # witness search
 
 
-def _polar_factor(x: np.ndarray) -> np.ndarray:
-    """Nearest matrix with orthonormal columns (deterministic throughout)."""
-    u, _, vh = np.linalg.svd(x, full_matrices=False)
-    return u @ vh
+def _fro(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every matrix in a stack, as np.linalg.norm(x, axis=(1, 2))."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(1, 2)))
 
 
-def _exact_frame(b: np.ndarray, z: complex) -> np.ndarray | None:
-    """Isometry F with F* b = z I, when one exists for this b.
+def _minus_identity(x: np.ndarray, c) -> np.ndarray:
+    """x - c I for every square matrix in a fresh (C-ordered) stack, in place."""
+    x.reshape(len(x), -1)[:, ::x.shape[-1] + 1] -= c
+    return x
 
-    Writes F as the column-space part U diag(conj(z)/s) plus corrections in
-    the orthogonal complement; feasible when no singular value of b falls
-    below |z| and the complement has a direction for every strictly larger
-    one.  Returns None when infeasible.
+
+def _frames(b: np.ndarray, z: complex, near_origin: bool) -> np.ndarray:
+    """One half-step for a stack of images b, shape (R, m, k), from one SVD.
+
+    Row by row: the exact isometry F with F* b = z I where one exists --
+    the column-space part U diag(conj(z)/s) plus, for every singular value
+    strictly above |z|, a correction in the orthogonal complement; feasible
+    when no singular value falls below |z| and the complement has a
+    direction for every strictly larger one.  Otherwise the polar factor of
+    b conj(z), which is U_k V* conj(z)/|z| on the same SVD.
+
+    Only when ``near_origin`` (|z| may be negligible against a row) do the
+    origin cases arise: there the exact frame spans left null directions of
+    b when it has k of them, and the least-aligned directions replace the
+    polar factor, which would maximize exactly the wrong correlation.
     """
-    m, k = b.shape
-    u, s, vh = np.linalg.svd(b, full_matrices=True)
+    m, k = b.shape[1:]
+    u, s, vh = np.linalg.svd(b)
     r = abs(z)
-    scale = max(float(s[0]), 1.0) if len(s) else 1.0
-    if r <= 1e-14 * scale:
-        rank = int(np.sum(s > 1e-12 * scale))
-        if m - rank < k:
-            return None
-        return u[:, rank:rank + k].copy()
-    if float(s[-1]) < r * (1.0 - 1e-10):
-        return None
-    coef = np.conj(z) / s
-    defect = 1.0 - (r / s) ** 2
+    zbar = np.conj(z)
+    # only infeasible or origin rows divide by a zero singular value, and
+    # their quotients are replaced below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = zbar / s
+        defect = 1.0 - (r / s) ** 2
+        phase = zbar / r
     need = defect > 1e-12
-    if int(np.sum(need)) > m - k:
-        return None
-    frame = u[:, :k] * coef
-    slot = k
-    for i in np.flatnonzero(need):
-        frame[:, i] += np.sqrt(defect[i]) * u[:, slot]
-        slot += 1
+    exact = s[:, -1] >= r * (1.0 - 1e-10)
+    if m - k < k:
+        # descending singular values make the columns that need a
+        # complement direction a prefix, which must end before column m - k
+        exact &= ~need[:, m - k]
+    if near_origin:
+        scale = np.maximum(s[:, 0], 1.0)
+        origin = r <= 1e-14 * scale
+        exact &= ~origin
+    # count_nonzero is a fraction of the cost of .all()/.any() on masks
+    # this small, and a search makes several such tests per half-step
+    if np.count_nonzero(exact) < len(b):
+        coef[~exact] = phase
+        need &= exact[:, None]
+    frame = u[:, :, :k] * coef[:, None, :]
+    q = min(k, m - k)
+    if q:
+        frame[:, :, :q] += u[:, :, k:k + q] * np.sqrt(
+            np.where(need[:, :q], defect[:, :q], 0.0))[:, None, :]
     frame = frame @ vh
-    if isometry_defect(frame) > 1e-12:
-        frame = _polar_factor(frame)
+    repair = _fro(_minus_identity(frame.conj().swapaxes(1, 2) @ frame, 1.0)) > 1e-12
+    if np.count_nonzero(repair):
+        pu, _, pvh = np.linalg.svd(frame[repair], full_matrices=False)
+        frame[repair] = pu @ pvh
+    if near_origin:
+        least = ~exact & (r <= 1e-14 * np.maximum(np.sqrt((s * s).sum(axis=1)), 1.0))
+        for i in np.flatnonzero(least):
+            rank = int(np.sum(s[i] > 1e-12 * scale[i]))
+            start = rank if origin[i] and m - rank >= k else m - k
+            frame[i] = u[i, :, start:start + k]
     return frame
 
 
-def _fallback_frame(b: np.ndarray, z: complex) -> np.ndarray:
-    """Polar-factor update steering towards the phase of z.
-
-    For z at the origin the least-aligned directions replace the polar
-    factor, which would otherwise maximize exactly the wrong correlation.
-    """
-    m, k = b.shape
-    if abs(z) > 1e-14 * max(1.0, float(np.linalg.norm(b))):
-        return _polar_factor(b * np.conj(z))
-    u = np.linalg.svd(b, full_matrices=True)[0]
-    return u[:, m - k:].copy()
-
-
-def _initial_right_frame(dec, m: int, n: int, k: int, z: complex) -> np.ndarray:
+def _initial_right_frame(sig, v, m: int, n: int, k: int, z: complex) -> np.ndarray:
     """Deterministic start frame from (possibly mixed) singular vectors.
 
     While 2k fits inside m the top-k right singular vectors suffice; past
@@ -192,9 +209,8 @@ def _initial_right_frame(dec, m: int, n: int, k: int, z: complex) -> np.ndarray:
     the largest and smallest unused indices.  Requires m >= n; all column
     index sets stay disjoint, so the frame is orthonormal by construction.
     """
-    sig, v = dec.sigma, dec.right
     pins = max(0, 2 * k - m)
-    cols = [v[:, i] for i in range(k - pins)]
+    cols = [v[:, :k - pins]]
     available = list(range(k - pins, n))
     r = abs(z)
     match_tol = 1e-9 * max(float(sig[0]), 1.0)
@@ -225,30 +241,53 @@ def _initial_right_frame(dec, m: int, n: int, k: int, z: complex) -> np.ndarray:
     return frame
 
 
-def _alternate(arr, k, z, right0, max_iter, tol):
-    """Block-coordinate descent on the witness residual from one start frame."""
-    eye = np.eye(k)
-    best_left, best_right, best_res = None, None, np.inf
-    right = right0
-    stall = 0
-    for _ in range(max_iter):
-        image = arr @ right
-        left = _exact_frame(image, z)
-        if left is None:
-            left = _fallback_frame(image, z)
-        res = float(np.linalg.norm(left.conj().T @ arr @ right - z * eye))
-        if res < best_res - 1e-15:
+def _descend(arr, z, right, near_origin, max_iter, tol):
+    """Block-coordinate descent on the witness residual from a stack of starts.
+
+    ``right`` holds R start frames, shape (R, n, k).  A row stops once its
+    best residual reaches ``tol`` or it fails to improve three times in a
+    row; finished rows leave the stack, so each half-step is one SVD of the
+    rows still running.  Rows never interact.  Returns the best left and
+    right frames, residual and number of iterations of every row.
+    """
+    rows = len(right)
+    best_left = best_right = None
+    best_res, stall = np.inf, 0
+    active = np.arange(rows)
+    finished = []
+    for it in range(1, max_iter + 1):
+        left = _frames(arr @ right, z, near_origin)
+        res = _fro(_minus_identity(left.conj().swapaxes(1, 2) @ arr @ right, z))
+        better = res < best_res - 1e-15
+        if np.count_nonzero(better) == len(better):
             best_left, best_right, best_res = left, right, res
-            stall = 0
+            stall = np.zeros(len(res), dtype=int)
+            done = res <= tol
         else:
-            stall += 1
-        if best_res <= tol or stall >= 3:
+            if best_left is None:  # non-finite residuals on the first pass
+                best_left, best_right = left, right
+            pick = better[:, None, None]
+            best_left = np.where(pick, left, best_left)
+            best_right = np.where(pick, right, best_right)
+            best_res = np.where(better, res, best_res)
+            stall = np.where(better, 0, stall + 1)
+            done = (best_res <= tol) | (stall >= 3)
+        finished_now = np.count_nonzero(done)
+        if finished_now == len(done):
             break
-        coimage = arr.conj().T @ left
-        right = _exact_frame(coimage, np.conj(z))
-        if right is None:
-            right = _fallback_frame(coimage, np.conj(z))
-    return best_left, best_right, best_res
+        if finished_now:
+            finished.append((active[done], best_left[done], best_right[done], best_res[done], it))
+            keep = ~done
+            active, left, best_left, best_right = active[keep], left[keep], best_left[keep], best_right[keep]
+            best_res, stall = best_res[keep], stall[keep]
+        right = _frames(arr.conj().T @ left, z.conjugate(), near_origin)
+    finished.append((active, best_left, best_right, best_res, it))
+    if len(finished) == 1:
+        return best_left, best_right, best_res, np.full(rows, it)
+    order = np.argsort(np.concatenate([part[0] for part in finished]))
+    left, right, res = (np.concatenate([part[j] for part in finished])[order] for j in (1, 2, 3))
+    iterations = np.concatenate([np.full(len(part[0]), part[4]) for part in finished])[order]
+    return left, right, res, iterations
 
 
 def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
@@ -258,9 +297,11 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
     Multi-start block-coordinate descent on ||M* A N - z I||_F: each
     half-step solves the one-sided isometry subproblem exactly whenever it is
     feasible and otherwise falls back to the phase-steered polar update.
-    Restart 0 starts from (possibly mixed) singular-vector frames, the rest
-    from random frames derived from the seed.  Always returns the best pair
-    found; a residual at or below ``tol`` certifies the value, anything else
+    Restart 0 starts from (possibly mixed) singular-vector frames and runs
+    alone; only if it does not certify do the other restarts, from random
+    frames derived from the seed, run together as one stack.  Returns the
+    first certifying restart in index order, else the lowest-index best
+    pair; a residual at or below ``tol`` certifies the value, anything else
     is inconclusive.
     """
     arr = as_matrix(a)
@@ -269,29 +310,36 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
         raise ValueError(f"need 1 <= k <= min(m, n) = {min(m, n)}, got {k}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     z = complex(z)
     if m < n:
         # Work on the adjoint so the exact step sees the taller side.
-        flipped = find_witness(arr.conj().T, k, np.conj(z), seed=seed,
+        flipped = find_witness(arr.conj().T, k, z.conjugate(), seed=seed,
                                restarts=restarts, max_iter=max_iter, tol=tol)
         return WitnessPair(left=flipped.right, right=flipped.left, value=z,
                            residual=flipped.residual,
-                           restarts_used=flipped.restarts_used)
-    dec = svd(arr)
-    best = None
-    for attempt in range(restarts):
-        if attempt == 0:
-            start = _initial_right_frame(dec, m, n, k, z)
-        else:
-            start = random_isometry(n, k, seed=(seed, attempt))
-        cand = _alternate(arr, k, z, start, max_iter, tol)
-        if best is None or cand[2] < best[2]:
-            best = cand
-        if best[2] <= tol:
-            return WitnessPair(left=best[0], right=best[1], value=z,
-                               residual=best[2], restarts_used=attempt + 1)
-    return WitnessPair(left=best[0], right=best[1], value=z,
-                       residual=best[2], restarts_used=restarts)
+                           restarts_used=flipped.restarts_used,
+                           iterations=flipped.iterations)
+    _, sig, vh = np.linalg.svd(arr, full_matrices=False)
+    # no image A N or A* M of a k-column isometry exceeds sqrt(k) ||A||_2 in
+    # Frobenius norm; the factor 2 absorbs rounding
+    near_origin = abs(z) <= 2e-14 * max(1.0, k ** 0.5 * float(sig[0]))
+    start = _initial_right_frame(sig, vh.conj().T, m, n, k, z)
+    left, right, res, iterations = _descend(arr, z, start[None], near_origin, max_iter, tol)
+    pick, used = 0, 1
+    if res[0] > tol and restarts > 1:
+        starts = np.stack([random_isometry(n, k, seed=(seed, attempt))
+                           for attempt in range(1, restarts)])
+        more = _descend(arr, z, starts, near_origin, max_iter, tol)
+        left, right, res, iterations = (
+            np.concatenate(pair) for pair in zip((left, right, res, iterations), more))
+        hit = res <= tol
+        pick = int(np.argmax(hit)) if hit.any() else int(np.argmin(res))
+        used = pick + 1 if hit[pick] else restarts
+    return WitnessPair(left=left[pick], right=right[pick], value=z,
+                       residual=float(res[pick]), restarts_used=used,
+                       iterations=int(iterations[pick]))
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,15 @@ class TestCompute:
         )
         assert code == EXIT_USAGE
 
+    def test_seed_is_rejected(self, tmp_path, wide_file):
+        # compute is deterministic; a seed it would ignore is a usage error
+        code = main(
+            ["compute", "--input", str(wide_file), "--set", "w",
+             "--out", str(tmp_path / "r.json"), "--seed", "3"]
+        )
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "r.json").exists()
+
     def test_wl_with_default_frame(self, tmp_path, rng):
         a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         src = tmp_path / "a.json"

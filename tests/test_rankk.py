@@ -289,3 +289,108 @@ class TestProjectorIntersection:
     def test_rejects_bad_k(self, rng):
         with pytest.raises(ValueError):
             projector_intersection_check(rand_complex(rng, 3, 2), 3, 10, seed=0)
+
+
+def assert_consistent_pair(a, k, wit):
+    """Both frames are isometries and the reported residual is the real one."""
+    assert isometry_defect(wit.left) <= 1e-10
+    assert isometry_defect(wit.right) <= 1e-10
+    recomputed = np.linalg.norm(wit.left.conj().T @ a @ wit.right - wit.value * np.eye(k))
+    assert abs(recomputed - wit.residual) <= 1e-12
+
+
+class TestStackedWitnessSearch:
+    """Restart 0 runs alone; restarts 1..R-1 then run together as one stack."""
+
+    def test_residual_monotone_in_restarts(self, rng):
+        a = rand_complex(rng, 4, 3)
+        z = 1.3 * float(svd(a).sigma[1]) * np.exp(0.4j)
+        assert not rank_k_contains(a, 2, z)
+        res = [find_witness(a, 2, z, seed=11, restarts=r).residual for r in (1, 5, 20)]
+        assert res[2] <= res[1] <= res[0]
+
+    def test_first_certifying_restart_is_a_prefix_property(self, rng):
+        # A non-member's best residual, used as the tolerance, is reached
+        # first by a later restart; every shorter prefix of the restarts
+        # misses it and that prefix length reproduces it exactly.
+        a = rand_complex(rng, 5, 3)
+        z = 1.2 * float(svd(a).sigma[0]) * np.exp(0.7j)
+        tol = find_witness(a, 2, z, seed=3, restarts=20).residual
+        wit = find_witness(a, 2, z, seed=3, restarts=20, tol=tol)
+        assert wit.restarts_used > 1
+        assert wit.residual == tol
+        for j in range(1, wit.restarts_used):
+            assert find_witness(a, 2, z, seed=3, restarts=j, tol=tol).residual > tol
+        again = find_witness(a, 2, z, seed=3, restarts=wit.restarts_used, tol=tol)
+        assert again.restarts_used == wit.restarts_used
+        assert again.residual == wit.residual
+        assert np.array_equal(again.left, wit.left) and np.array_equal(again.right, wit.right)
+
+    @pytest.mark.parametrize("k,z,member", [(1, 0j, True), (2, 0j, True),
+                                            (2, 1e-20, True), (2, 0.5, False)])
+    def test_rank_one_matrix(self, rng, k, z, member):
+        # every image A N has rank one: the null-direction frame at the
+        # origin, the polar fallback of a rank-deficient image away from it
+        a = rand_complex(rng, 4, 1) @ rand_complex(rng, 1, 3)
+        wit = find_witness(a, k, z * float(svd(a).sigma[0]), seed=4, restarts=5)
+        assert_consistent_pair(a, k, wit)
+        assert (wit.residual <= 1e-10) == member
+        assert wit.restarts_used == (1 if member else 5)
+
+    def test_origin_without_room_uses_least_aligned_frames(self, rng):
+        # a 3x3 image of rank 2 leaves one left null direction for k = 2,
+        # so every step at z = 0 takes the least-aligned directions; 0 lies
+        # in the hole of the ring
+        a = rand_complex(rng, 3, 3)
+        assert not rank_k_contains(a, 2, 0j)
+        wit = find_witness(a, 2, 0j, seed=5, restarts=4)
+        assert_consistent_pair(a, 2, wit)
+        assert wit.restarts_used == 4
+        assert wit.residual > 1e-8
+
+    def test_wide_nonmember_runs_the_stack_on_the_adjoint(self, rng):
+        a = rand_complex(rng, 2, 5)
+        top = float(svd(a).sigma[0])
+        z = 1.4 * top * np.exp(0.5j)
+        wit = find_witness(a, 2, z, seed=6, restarts=6)
+        assert wit.left.shape == (2, 2) and wit.right.shape == (5, 2)
+        assert wit.restarts_used == 6
+        assert wit.residual >= (abs(z) - top) * np.sqrt(2) - 1e-8
+        assert_consistent_pair(a, 2, wit)
+        adj = find_witness(a.conj().T, 2, np.conj(z), seed=6, restarts=6)
+        assert adj.residual == wit.residual and adj.iterations == wit.iterations
+        assert np.array_equal(adj.left, wit.right) and np.array_equal(adj.right, wit.left)
+
+    def test_rejects_nonpositive_max_iter(self, rng):
+        with pytest.raises(ValueError, match="max_iter"):
+            find_witness(rand_complex(rng, 3, 2), 1, 0.5, max_iter=0)
+
+    def test_iterations_of_the_returned_restart(self, rng):
+        a = rand_complex(rng, 4, 3)
+        z = 1.3 * float(svd(a).sigma[0])
+        assert find_witness(a, 2, z, seed=1, restarts=4, max_iter=1).iterations == 1
+        assert 1 < find_witness(a, 2, z, seed=1, restarts=4).iterations <= 500
+        member = find_witness(a, 2, 0.5 * float(svd(a).sigma[1]), seed=1)
+        assert member.iterations == 1
+
+    def test_svd_calls_do_not_grow_with_restarts(self, rng, monkeypatch):
+        # one SVD per half-step for the whole stack: 2 x (passes of
+        # restart 0 + passes of the longest stacked restart), about 40 here;
+        # one SVD per half-step per restart took over 800
+        a = rand_complex(rng, 5, 3)
+        z = 1.2 * float(svd(a).sigma[0]) * np.exp(0.7j)
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(x, *args, **kwargs):
+            calls.append(np.shape(x))
+            return real_svd(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        find_witness(a, 2, z, seed=5, restarts=2)
+        two = len(calls)
+        calls.clear()
+        wit = find_witness(a, 2, z, seed=5, restarts=20)
+        assert wit.restarts_used == 20
+        assert len(calls) < 60
+        assert len(calls) < 2 * two
