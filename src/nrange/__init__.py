@@ -56,59 +56,5 @@ from .rectrange import (
     rank_one_value,
 )
 
-__all__ = [
-    "Annulus",
-    "BoundaryCurve",
-    "Circle",
-    "ConvexBoundary",
-    "Disc",
-    "Ellipse",
-    "Empty",
-    "McReport",
-    "Point",
-    "ProjectorSetting",
-    "RankKRegion",
-    "Region",
-    "Segment",
-    "SharpPoint",
-    "WitnessPair",
-    "WitnessVectors",
-    "boundary_witness",
-    "center_bound_check",
-    "compression_radius",
-    "find_witness",
-    "fov",
-    "fov_boundary",
-    "frobenius_inner",
-    "geometry",
-    "hermitian_eigen",
-    "hermitian_rank_interval",
-    "higher_range",
-    "interior_witness",
-    "linalg",
-    "lower_range",
-    "mc_fov_samples",
-    "mc_rect_sup",
-    "norm_range_disc",
-    "norm_range_union",
-    "oracles",
-    "power_sigma_max",
-    "projector_intersection_check",
-    "projrange",
-    "random_isometry",
-    "range_disc",
-    "range_value",
-    "rank_k_contains",
-    "rank_k_region",
-    "rank_one_value",
-    "rankk",
-    "real_imag_blocks",
-    "rectrange",
-    "region_contains",
-    "sharp_points",
-    "sharp_transfer_report",
-    "support_gap",
-    "support_point",
-    "svd",
-    "vector_ellipse",
-]
+# the public API is exactly the names imported above
+__all__ = sorted(name for name in globals() if not name.startswith("_"))

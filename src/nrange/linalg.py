@@ -17,6 +17,7 @@ __all__ = [
     "frobenius_inner",
     "hermitian_eigen",
     "isometry_defect",
+    "random_isometries",
     "random_isometry",
     "require_isometry",
     "sigma_max",
@@ -90,20 +91,32 @@ def hermitian_eigen(hm) -> HermEig:
     return HermEig(lam=w[::-1].copy(), frame=v[:, ::-1].copy())
 
 
-def random_isometry(m: int, k: int, seed) -> np.ndarray:
-    """Random m-by-k matrix with orthonormal columns, identical per seed.
+def random_isometries(m: int, k: int, seeds) -> np.ndarray:
+    """Stack of random m-by-k isometries, shape (len(seeds), m, k).
 
-    Complex Gaussian entries followed by QR; the R diagonal is rotated to be
-    real nonnegative, which pins the factor uniquely.
+    Row i depends on ``seeds[i]`` alone: complex Gaussian entries from one
+    generator per seed, then one QR of the whole stack, with each R diagonal
+    rotated to be real nonnegative, which pins every factor uniquely.
     """
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+    seeds = list(seeds)
+    g = np.empty((len(seeds), m, k), dtype=complex)
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        g[i] = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r).copy()
+    d = np.diagonal(r, axis1=1, axis2=2).copy()
     d[d == 0] = 1.0
-    return q * (d / np.abs(d))
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def random_isometry(m: int, k: int, seed) -> np.ndarray:
+    """Random m-by-k matrix with orthonormal columns, identical per seed.
+
+    The one-seed case of ``random_isometries``.
+    """
+    return random_isometries(m, k, [seed])[0]
 
 
 def isometry_defect(h) -> float:

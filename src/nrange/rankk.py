@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Annulus, Disc, Empty, Point, Region, Segment, normalize_region
-from .linalg import as_matrix, hermitian_eigen, random_isometry, svd
+from .linalg import as_matrix, hermitian_eigen, random_isometries, svd
 
 __all__ = [
     "ProjectorBoundReport",
@@ -329,8 +329,7 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
     left, right, res, iterations = _descend(arr, z, start[None], near_origin, max_iter, tol)
     pick, used = 0, 1
     if res[0] > tol and restarts > 1:
-        starts = np.stack([random_isometry(n, k, seed=(seed, attempt))
-                           for attempt in range(1, restarts)])
+        starts = random_isometries(n, k, [(seed, attempt) for attempt in range(1, restarts)])
         more = _descend(arr, z, starts, near_origin, max_iter, tol)
         left, right, res, iterations = (
             np.concatenate(pair) for pair in zip((left, right, res, iterations), more))
@@ -381,13 +380,13 @@ def projector_intersection_check(a, k: int, n_trials: int, seed: int) -> Project
     sigma_k = float(sig[k - 1])
     right_dim = n - k + 1
     left_dim = m - k + 1
-    min_right = np.inf
-    min_left = np.inf
-    for trial in range(n_trials):
-        g = random_isometry(n, right_dim, seed=(seed, 2 * trial))
-        min_right = min(min_right, float(np.linalg.norm(arr @ (g @ g.conj().T), 2)))
-        l = random_isometry(m, left_dim, seed=(seed, 2 * trial + 1))
-        min_left = min(min_left, float(np.linalg.norm((l @ l.conj().T) @ arr, 2)))
+    right = random_isometries(n, right_dim, [(seed, 2 * trial) for trial in range(n_trials)])
+    left = random_isometries(m, left_dim, [(seed, 2 * trial + 1) for trial in range(n_trials)])
+    # the largest singular value of each projected matrix is its 2-norm
+    min_right = float(np.linalg.svd(arr @ (right @ right.conj().swapaxes(1, 2)),
+                                    compute_uv=False)[:, 0].min())
+    min_left = float(np.linalg.svd((left @ left.conj().swapaxes(1, 2)) @ arr,
+                                   compute_uv=False)[:, 0].min())
     g_star = vh_full.conj().T[:, k - 1:]
     right_star = float(np.linalg.norm(arr @ (g_star @ g_star.conj().T), 2))
     l_star = u_full[:, k - 1:]
@@ -397,9 +396,9 @@ def projector_intersection_check(a, k: int, n_trials: int, seed: int) -> Project
         k=k,
         n_trials=n_trials,
         sigma_k=sigma_k,
-        min_right_sampled=float(min_right),
+        min_right_sampled=min_right,
         right_star_value=right_star,
-        min_left_sampled=float(min_left),
+        min_left_sampled=min_left,
         left_star_value=left_star,
         outer_radius=outer,
         sampled_bounds_hold=bool(min_right >= sigma_k - 1e-9 and min_left >= sigma_k - 1e-9),

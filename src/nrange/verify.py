@@ -130,6 +130,19 @@ def suite_prop5(seed: int, tol: float = 1e-8) -> list[CheckResult]:
     a = WIDE_EXAMPLE
     frob_sq_expected = 98.25
     report = rectrange.norm_range_union(a, 2000, _child_seed(seed, 5))
+    frob = report.frobenius_radius
+    # B = e^{-i theta} (A / ||A||_F + E / 2) with E a unit direction
+    # orthogonal to A gives a disc of radius ||A||_F / 5 that touches the
+    # Frobenius circle from inside, so the per-comparison closed form is
+    # held to the containment bound where it is sharp
+    rng = np.random.default_rng(_child_seed(seed, 5, 1))
+    tangent = default_angles(8)
+    tangent_out = 0
+    for theta in tangent:
+        e = _rand_matrix(rng, *a.shape)
+        e -= np.vdot(a, e) / frob**2 * a
+        b = np.exp(-1j * theta) * (a / frob + 0.5 * e / np.linalg.norm(e))
+        tangent_out += _radial_interval(rectrange.norm_range_disc(a, b))[1] > frob + 1e-9
     results = [
         CheckResult(
             "prop5",
@@ -140,8 +153,9 @@ def suite_prop5(seed: int, tol: float = 1e-8) -> list[CheckResult]:
         CheckResult(
             "prop5",
             "disc-union-stays-inside",
-            report.containment_violations == 0,
-            f"violations={report.containment_violations} of {report.n_discs}",
+            report.containment_violations == 0 and tangent_out == 0,
+            f"violations={report.containment_violations} of {report.n_discs}; "
+            f"tangent discs outside: {tangent_out} of {len(tangent)}",
         ),
         CheckResult(
             "prop5",

@@ -7,6 +7,7 @@ from nrange.linalg import (
     frobenius_inner,
     hermitian_eigen,
     isometry_defect,
+    random_isometries,
     random_isometry,
     require_isometry,
     sigma_max,
@@ -106,6 +107,18 @@ class TestRandomIsometry:
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError):
             random_isometry(2, 3, seed=0)
+
+    @pytest.mark.parametrize("m, k", [(1, 1), (3, 1), (4, 4), (7, 3), (12, 5), (20, 20)])
+    def test_stack_rows_match_single_seed(self, m, k):
+        seeds = [0, 17, (3, 1), (3, 2), (9, 4, 1)]
+        stack = random_isometries(m, k, seeds)
+        assert stack.shape == (len(seeds), m, k)
+        for row, seed in zip(stack, seeds):
+            assert np.array_equal(row, random_isometry(m, k, seed))
+
+    def test_stack_rejects_bad_rank(self):
+        with pytest.raises(ValueError):
+            random_isometries(2, 3, [0, 1])
 
     def test_require_isometry_rejects_skewed(self, rng):
         with pytest.raises(ValueError, match="orthonormal"):

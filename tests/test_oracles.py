@@ -80,6 +80,15 @@ class TestPowerSigmaMax:
     def test_zero_matrix(self):
         assert power_sigma_max(np.zeros((2, 2)), 10, 0) == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-160, 1.0, 1e150, 1e300])
+    def test_any_finite_scale(self, scale):
+        a = rand_complex(np.random.default_rng(4), 4, 3)
+        top = scale * float(svd(a).sigma[0])
+        estimate = power_sigma_max(scale * a, 200, 0)
+        assert np.isfinite(estimate)
+        assert abs(estimate - top) <= 1e-8 * top
+
 
 def test_oracles_import_nothing_from_region_modules():
     source = pathlib.Path(oracles.__file__).read_text()

@@ -5,6 +5,7 @@ from conftest import rand_complex
 from nrange.geometry import Annulus, Circle, Disc, Empty, Point, Segment, region_contains
 from nrange.linalg import isometry_defect, random_isometry, svd
 from nrange.rankk import (
+    ProjectorBoundReport,
     find_witness,
     hermitian_rank_interval,
     projector_intersection_check,
@@ -289,6 +290,60 @@ class TestProjectorIntersection:
     def test_rejects_bad_k(self, rng):
         with pytest.raises(ValueError):
             projector_intersection_check(rand_complex(rng, 3, 2), 3, 10, seed=0)
+
+    @staticmethod
+    def per_trial_reference(a, k, n_trials, seed):
+        """The check as one frame, one QR and one 2-norm per trial."""
+        m, n = a.shape
+        u_full, sig, vh_full = np.linalg.svd(a, full_matrices=True)
+        sigma_k = float(sig[k - 1])
+        min_right = min_left = np.inf
+        for trial in range(n_trials):
+            g = random_isometry(n, n - k + 1, seed=(seed, 2 * trial))
+            min_right = min(min_right, float(np.linalg.norm(a @ (g @ g.conj().T), 2)))
+            l = random_isometry(m, m - k + 1, seed=(seed, 2 * trial + 1))
+            min_left = min(min_left, float(np.linalg.norm((l @ l.conj().T) @ a, 2)))
+        g_star = vh_full.conj().T[:, k - 1:]
+        right_star = float(np.linalg.norm(a @ (g_star @ g_star.conj().T), 2))
+        l_star = u_full[:, k - 1:]
+        left_star = float(np.linalg.norm((l_star @ l_star.conj().T) @ a, 2))
+        return ProjectorBoundReport(
+            k=k,
+            n_trials=n_trials,
+            sigma_k=sigma_k,
+            min_right_sampled=min_right,
+            right_star_value=right_star,
+            min_left_sampled=min_left,
+            left_star_value=left_star,
+            outer_radius=sigma_k,
+            sampled_bounds_hold=bool(min_right >= sigma_k - 1e-9 and min_left >= sigma_k - 1e-9),
+            star_attains=bool(abs(right_star - sigma_k) <= 1e-9 and abs(left_star - sigma_k) <= 1e-9),
+            outer_within_sampled=bool(sigma_k <= min(min_right, min_left) + 1e-9),
+        )
+
+    @pytest.mark.parametrize("m, n", [(1, 4), (4, 1), (2, 3), (5, 4), (7, 8)])
+    def test_equals_per_trial_loop(self, rng, m, n):
+        a = rand_complex(rng, m, n)
+        for k in range(1, min(m, n) + 1):
+            for seed in (0, 7):
+                expected = self.per_trial_reference(a, k, 23, seed)
+                assert projector_intersection_check(a, k, 23, seed) == expected
+
+    def test_stacked_kernel_calls(self, rng, monkeypatch):
+        calls = {"qr": 0, "svd": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "qr", counting("qr", np.linalg.qr))
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        report = projector_intersection_check(rand_complex(rng, 5, 4), 2, 100, seed=3)
+        assert report.n_trials == 100
+        assert calls["qr"] <= 2
+        assert calls["svd"] <= 6
 
 
 def assert_consistent_pair(a, k, wit):

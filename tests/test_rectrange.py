@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_complex, rand_unit
-from nrange.geometry import Circle, Disc, Point
+from nrange.geometry import Circle, Disc, Point, default_angles
 from nrange.linalg import random_isometry, sigma_max, svd
 from nrange.oracles import mc_rect_sup
 from nrange.rectrange import (
@@ -234,6 +234,31 @@ class TestNormRange:
         report = norm_range_union(np.zeros((2, 2)), 50, 0)
         assert report.sup_abs == 0.0
         assert report.containment_violations == 0
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (4, 1), (2, 3), (3, 3), (8, 7)])
+    def test_union_matches_per_comparison_discs(self, rng, m, n):
+        a = rand_complex(rng, m, n)
+        frob = float(np.linalg.norm(a))
+        for seed in (0, 3, 11):
+            draws = np.random.default_rng(seed)
+            shape = (50, m, n)
+            g = draws.standard_normal(shape) + 1j * draws.standard_normal(shape)
+            scales = draws.uniform(1.0, 3.0, 50)
+            comparisons = [gi / np.linalg.norm(gi) * s for gi, s in zip(g, scales)]
+            comparisons += [np.exp(-1j * theta) / frob * a for theta in default_angles(32)]
+            reach = []
+            for b in comparisons:
+                match norm_range_disc(a, b):
+                    case Disc(c, r):
+                        reach.append(abs(c) + r)
+                    case Point(z):
+                        reach.append(abs(z))
+            report = norm_range_union(a, 50, seed)
+            assert report.n_samples == 50 and report.seed == seed
+            assert report.n_discs == len(comparisons)
+            assert report.containment_violations == sum(r > frob + 1e-9 for r in reach)
+            assert report.frobenius_radius == frob
+            assert abs(report.sup_abs - max(reach)) <= 1e-15 * max(reach)
 
     def test_union_containment_across_random_matrices(self, rng):
         for trial in range(20):
