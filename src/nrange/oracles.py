@@ -2,7 +2,16 @@
 
 These share no code with the closed-form region modules; tests and the
 ``verify`` command use them as the second route when checking every radius
-or boundary.
+or boundary.  Each engine takes a nonempty matrix of finite entries (a vector
+is one column) and raises ``ValueError`` otherwise, and works on the matrix
+divided by its largest entry modulus, so squared magnitudes neither overflow
+nor underflow wherever that modulus is a normal floating-point number.
+
+The samplers draw from ``numpy.random.default_rng(seed)`` in a fixed order:
+every real part of the x block, then every imaginary part, then the same two
+blocks for y (``mc_rect_sup`` only).  Each sample is a Gaussian vector
+direction, that is a uniform unit vector once normalised; the normalisation
+is applied to the sampled products, N scalars, rather than to the N vectors.
 """
 
 from __future__ import annotations
@@ -17,7 +26,12 @@ __all__ = ["McReport", "mc_fov_samples", "mc_rect_sup", "power_sigma_max"]
 
 @dataclass(frozen=True)
 class McReport:
-    """Result of one sampling run; reproducible bitwise per seed."""
+    """Result of one sampling run; reproducible bitwise per seed.
+
+    ``points`` holds the sampled forms y* A x (x* A x for the field of
+    values) in draw order, each computed from the raw Gaussian draws and then
+    divided by |x| |y|; ``sup_abs`` is the largest modulus among them.
+    """
 
     n_samples: int
     sup_abs: float
@@ -25,53 +39,71 @@ class McReport:
     points: Optional[np.ndarray] = None
 
 
-def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    g = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return g / norms
+def _scaled(a) -> tuple[np.ndarray, float]:
+    """Checked complex 2-d array divided by its largest entry modulus, and
+    that modulus (1.0 for the zero matrix)."""
+    arr = np.asarray(a, dtype=complex)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError(f"expected a nonempty matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
+    peak = float(np.abs(arr).max()) or 1.0
+    return arr / peak, peak
+
+
+def _sample_forms(
+    arr: np.ndarray, peak: float, n_samples: int, seed: int, quadratic: bool, keep_points: bool
+) -> McReport:
+    """Sample y* A x (x* A x when ``quadratic``) in real arithmetic.
+
+    ``arr`` is A divided by ``peak``.  The rows of A x are the one real block
+    product [x_re | x_im] [[T_re, T_im], [-T_im, T_re]] with T = A^T.  Only
+    the N forms are divided by |x| |y|, and the square root is taken once,
+    at the largest squared modulus.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    m, n = arr.shape
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, n_samples, n))
+    y = x if quadratic else rng.standard_normal((2, n_samples, m))
+    t = arr.T
+    ax = np.concatenate((x[0], x[1]), axis=1) @ np.block([[t.real, t.imag], [-t.imag, t.real]])
+    ax_re, ax_im = ax[:, :m], ax[:, m:]
+    re = np.einsum("ij,ij->i", y[0], ax_re) + np.einsum("ij,ij->i", y[1], ax_im)
+    im = np.einsum("ij,ij->i", y[0], ax_im) - np.einsum("ij,ij->i", y[1], ax_re)
+    norm_sq = np.einsum("kij,kij->i", x, x)
+    norm_sq = norm_sq * norm_sq if quadratic else norm_sq * np.einsum("kij,kij->i", y, y)
+    norm_sq[norm_sq == 0] = 1.0
+    sup_abs = peak * float(np.sqrt(np.max((re * re + im * im) / norm_sq)))
+    points = None
+    if keep_points:
+        factor = peak / np.sqrt(norm_sq)
+        points = re * factor + 1j * (im * factor)
+    return McReport(n_samples=n_samples, sup_abs=sup_abs, seed=seed, points=points)
 
 
 def mc_rect_sup(a, n_samples: int, seed: int, keep_points: bool = False) -> McReport:
     """Sample y* A x over independent uniform unit pairs (x, y).
 
-    Draw order is x block then y block, so reports are stable regression
-    fixtures for a given seed.
+    Draw order is x real parts, x imaginary parts, y real parts, y imaginary
+    parts, so reports are stable regression fixtures for a given seed.
     """
-    arr = np.asarray(a, dtype=complex)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    m, n = arr.shape
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    xs = _unit_rows(rng, n_samples, n)
-    ys = _unit_rows(rng, n_samples, m)
-    vals = np.sum(ys.conj() * (xs @ arr.T), axis=1)
-    return McReport(
-        n_samples=n_samples,
-        sup_abs=float(np.max(np.abs(vals))),
-        seed=seed,
-        points=vals if keep_points else None,
-    )
+    arr, peak = _scaled(a)
+    return _sample_forms(arr, peak, n_samples, seed, quadratic=False, keep_points=keep_points)
 
 
 def mc_fov_samples(a, n_samples: int, seed: int) -> McReport:
-    """Sample the quadratic form x* A x over uniform unit vectors."""
-    arr = np.asarray(a, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    """Sample the quadratic form x* A x over uniform unit vectors.
+
+    Draw order is x real parts, then x imaginary parts; every point is kept.
+    """
+    arr, peak = _scaled(a)
+    if np.ndim(a) != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("mc_fov_samples needs a square matrix")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    xs = _unit_rows(rng, n_samples, arr.shape[0])
-    vals = np.sum(xs.conj() * (xs @ arr.T), axis=1)
-    return McReport(
-        n_samples=n_samples,
-        sup_abs=float(np.max(np.abs(vals))),
-        seed=seed,
-        points=vals,
-    )
+    return _sample_forms(arr, peak, n_samples, seed, quadratic=True, keep_points=True)
 
 
 def power_sigma_max(a, n_iters: int, seed: int) -> float:
@@ -83,15 +115,9 @@ def power_sigma_max(a, n_iters: int, seed: int) -> float:
     largest entry modulus and scales the estimate back, so the Gram matrix
     neither overflows nor underflows at any finite scale.
     """
-    arr = np.asarray(a, dtype=complex)
-    if arr.ndim == 1:
-        arr = arr[:, None]
+    arr, peak = _scaled(a)
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
-    peak = float(np.abs(arr).max(initial=0.0))
-    if peak == 0.0:
-        return 0.0
-    arr = arr / peak
     m, n = arr.shape
     gram = arr.conj().T @ arr if n <= m else arr @ arr.conj().T
     dim = gram.shape[0]

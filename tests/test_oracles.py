@@ -90,6 +90,85 @@ class TestPowerSigmaMax:
         assert abs(estimate - top) <= 1e-8 * top
 
 
+def _reference_forms(a, n_samples, seed, quadratic):
+    """Draw order as documented; each row normalised before the product.
+
+    Runs in extended precision, so the comparison bounds the sampler's own
+    rounding rather than the sum of two double-precision roundings.
+    """
+    wide = np.asarray(a, dtype=complex).astype(np.clongdouble)
+    rng = np.random.default_rng(seed)
+
+    def unit_rows(dim):
+        re = rng.standard_normal((n_samples, dim)).astype(np.longdouble)
+        im = rng.standard_normal((n_samples, dim)).astype(np.longdouble)
+        norms = np.sqrt(np.sum(re * re + im * im, axis=1, keepdims=True))
+        return (re + 1j * im) / norms
+
+    xs = unit_rows(wide.shape[1])
+    ys = xs if quadratic else unit_rows(wide.shape[0])
+    return np.sum(ys.conj() * (xs @ wide.T), axis=1)
+
+
+def _sample(a, n_samples, seed, quadratic):
+    if quadratic:
+        return mc_fov_samples(a, n_samples, seed)
+    return mc_rect_sup(a, n_samples, seed, keep_points=True)
+
+
+EQUIVALENCE_CASES = [((1, 1), False), ((1, 5), False), ((5, 1), False), ((2, 3), False),
+                     ((8, 7), False), ((1, 1), True), ((3, 3), True), ((6, 6), True)]
+
+
+class TestSamplerEquivalence:
+    @pytest.mark.parametrize("shape, quadratic", EQUIVALENCE_CASES,
+                             ids=[f"{'fov' if q else 'rect'}-{m}x{n}"
+                                  for (m, n), q in EQUIVALENCE_CASES])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_normalised_rows(self, shape, quadratic, seed):
+        a = rand_complex(np.random.default_rng(seed + 100), *shape)
+        expected = _reference_forms(a, 5000, seed, quadratic)
+        report = _sample(a, 5000, seed, quadratic)
+        assert np.max(np.abs(report.points - expected)) <= 1e-15 * np.abs(a).max()
+        top = np.max(np.abs(expected))
+        assert abs(report.sup_abs - top) <= 1e-15 * top
+
+    def test_points_kept_only_on_request(self):
+        report = mc_rect_sup(WIDE_EXAMPLE, 100, 0)
+        assert report.points is None
+        assert report.sup_abs == mc_rect_sup(WIDE_EXAMPLE, 100, 0, keep_points=True).sup_abs
+
+
+class TestSamplerScale:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
+    @pytest.mark.parametrize("quadratic", [False, True], ids=["rect", "fov"])
+    def test_any_finite_scale(self, scale, quadratic):
+        a = rand_complex(np.random.default_rng(8), 4, 4 if quadratic else 3)
+        base, scaled = _sample(a, 2000, 5, quadratic), _sample(scale * a, 2000, 5, quadratic)
+        assert np.all(np.isfinite(scaled.points))
+        assert abs(scaled.sup_abs / scale - base.sup_abs) <= 1e-15 * base.sup_abs
+
+
+HOSTILE = [
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), "finite"),
+    (np.array([[1.0, 0.0], [np.inf, 1.0]]), "finite"),
+    (np.array([[1.0, 0.0], [0.0, complex(0.0, -np.inf)]]), "finite"),
+    (np.zeros((0, 3)), "nonempty"),
+    (np.zeros((0, 0)), "nonempty"),
+    (np.zeros(0), "nonempty"),
+]
+
+
+@pytest.mark.parametrize("oracle", [mc_rect_sup, mc_fov_samples, power_sigma_max],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("matrix, message", HOSTILE,
+                         ids=["nan", "inf", "imag-inf", "0x3", "0x0", "empty-vector"])
+def test_hostile_matrix_raises(oracle, matrix, message):
+    with pytest.raises(ValueError, match=message):
+        oracle(matrix, 10, 0)
+
+
 def test_oracles_import_nothing_from_region_modules():
     source = pathlib.Path(oracles.__file__).read_text()
     tree = ast.parse(source)

@@ -1,9 +1,11 @@
 """Suite-level behaviour: known baseline plus mutation sensitivity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from nrange import geometry, projrange, rankk, rectrange
+from nrange import geometry, oracles, projrange, rankk, rectrange
 from nrange.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 from nrange.verify import SUITE_NAMES, run_suite, run_suites
 
@@ -98,11 +100,23 @@ def perturb_rank_k_region(monkeypatch):
     return "prop14"
 
 
+def perturb_mc_rect_sup(monkeypatch, factor=1.05):
+    original = oracles.mc_rect_sup
+
+    def mutated(a, n_samples, seed, keep_points=False):
+        report = original(a, n_samples, seed, keep_points)
+        return dataclasses.replace(report, sup_abs=report.sup_abs * factor)
+
+    monkeypatch.setattr(oracles, "mc_rect_sup", mutated)
+    return "prop1"
+
+
 MUTATIONS = [
     perturb_range_disc,
     perturb_norm_range_disc,
     perturb_vector_ellipse,
     perturb_rank_k_region,
+    perturb_mc_rect_sup,
 ]
 
 
@@ -118,6 +132,17 @@ class TestMutationSmoke:
     def test_cli_verify_all_exits_one_under_mutation(self, monkeypatch, mutate):
         mutate(monkeypatch)
         assert main(["verify", "--suite", "all", "--seed", "1"]) == EXIT_CHECK_FAILED
+
+    # every primary prop1 case samples past 0.97 of the radius, so a 5% rise
+    # crosses the radius and a 10% drop falls below the window
+    @pytest.mark.parametrize("factor, check", [
+        (1.05, "sampling-never-exceeds-radius"),
+        (0.90, "sampling-sup-reaches-0.97-radius"),
+    ])
+    def test_sampler_perturbation_trips_its_check(self, monkeypatch, factor, check):
+        suite = perturb_mc_rect_sup(monkeypatch, factor)
+        results = run_suite(suite, seed=1)
+        assert failing_set(results) - KNOWN_RED == {("prop1", check)}
 
 
 def test_prop14_grid_margins_are_wide(rng):
