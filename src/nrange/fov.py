@@ -3,9 +3,12 @@
 Each direction theta contributes the top eigenvalue of the Hermitian part of
 exp(-i theta) A together with the quadratic form of its eigenvector; corners
 show up as boundary points that win the sweep over a whole run of angles.
-The sweep stacks the rotated Hermitian parts of a block of angles and
-solves them with one ``np.linalg.eigh`` call per block, sized so that each
-stacked input stays within ``_CHUNK_BYTES``.
+The Hermitian part at theta + pi is minus the one at theta, so one
+decomposition serves two opposite directions: its top eigenpair gives theta
+and its negated bottom eigenpair gives theta + pi.  The sweep stacks the
+rotated Hermitian parts of a block of angles and solves them with one
+``np.linalg.eigh`` call per block, sized so that each stacked input stays
+within ``_CHUNK_BYTES``.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ def _require_square(a) -> np.ndarray:
     return arr
 
 
-def _support(arr: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Support values and attaining boundary points for a block of angles.
+def _solve(arr: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked eigendecompositions of the Hermitian parts of exp(-i theta) arr.
 
     (R + R*)/2 is exactly Hermitian in floating point, so no symmetry check
     is needed; only overflow of the rotated part is rejected.
@@ -41,11 +44,13 @@ def _support(arr: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.ndarra
     herm = (rot + rot.conj().swapaxes(-1, -2)) / 2
     if not np.isfinite(herm).all():
         raise ValueError("matrix entries must be finite")
-    w, v = np.linalg.eigh(herm)
-    x = v[:, :, -1]
+    return np.linalg.eigh(herm)
+
+
+def _forms(arr: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Quadratic forms x* arr x of a stack of vectors."""
     # matmul (not einsum) keeps the quadratic form bit-identical to x* A x
-    points = (x.conj()[:, None, :] @ arr @ x[:, :, None])[:, 0, 0]
-    return w[:, -1], points
+    return (x.conj()[:, None, :] @ arr @ x[:, :, None])[:, 0, 0]
 
 
 def support_point(a, theta: float) -> tuple[float, complex]:
@@ -55,18 +60,25 @@ def support_point(a, theta: float) -> tuple[float, complex]:
     exp(-i theta) a and z the quadratic form of the corresponding unit
     eigenvector, so Re(exp(-i theta) z) = p.
     """
-    support, points = _support(_require_square(a), np.array([theta], dtype=float))
-    return float(support[0]), complex(points[0])
+    arr = _require_square(a)
+    w, v = _solve(arr, np.array([theta], dtype=float))
+    return float(w[0, -1]), complex(_forms(arr, v[:, :, -1])[0])
 
 
 def fov_boundary(a, n_angles: int = 720) -> BoundaryCurve:
     """Sampled boundary of the field of values.
 
-    The angles are swept in blocks of c, one stacked ``eigh`` per block, with
+    On an even grid of N angles, angle j + N/2 lies pi after angle j, so only
+    the first N/2 angles are solved: the top eigenpair at angle j gives
+    sample j, and the bottom eigenpair (value negated, quadratic form of its
+    vector) gives sample j + N/2.  An odd grid solves all N angles.  The
+    solved angles go in blocks of c, one stacked ``eigh`` per block, with
     c = max(1, _CHUNK_BYTES // (16 n^2)) so the stacked (c, n, n) input stays
-    at or under 256 KiB (c >= 202 for n <= 9, c = 4 for n = 60).  Angle
-    evaluations are independent, so the result does not depend on the block
-    size: every sample equals the one-angle ``support_point`` bit for bit.
+    at or under 256 KiB (c >= 202 for n <= 9, c = 4 for n = 60); 720 angles
+    take 360 solves.  The result does not depend on the block size: samples
+    j < N/2 (every sample of an odd grid) equal the one-angle
+    ``support_point`` bit for bit, and samples j + N/2 agree with it to
+    rounding, because exp(-i theta) at the two angles is not exactly opposite.
     """
     arr = _require_square(a)
     if n_angles < 8:
@@ -74,10 +86,15 @@ def fov_boundary(a, n_angles: int = 720) -> BoundaryCurve:
     angles = default_angles(n_angles)
     support = np.empty(n_angles, dtype=float)
     points = np.empty(n_angles, dtype=complex)
+    lead = n_angles // 2 if n_angles % 2 == 0 else n_angles
     chunk = max(1, _CHUNK_BYTES // (16 * arr.shape[0] ** 2))
-    for lo in range(0, n_angles, chunk):
-        block = slice(lo, lo + chunk)
-        support[block], points[block] = _support(arr, angles[block])
+    for lo in range(0, lead, chunk):
+        hi = min(lo + chunk, lead)
+        w, v = _solve(arr, angles[lo:hi])
+        support[lo:hi], points[lo:hi] = w[:, -1], _forms(arr, v[:, :, -1])
+        if lead < n_angles:
+            far = slice(lo + lead, hi + lead)
+            support[far], points[far] = -w[:, 0], _forms(arr, v[:, :, 0])
     return BoundaryCurve(angles, support, points)
 
 

@@ -172,9 +172,9 @@ def region_to_payload(region: Region, meta: dict) -> dict:
         case ConvexBoundary(curve):
             body = {
                 "kind": "boundary",
-                "angles": [float(t) for t in curve.angles],
-                "support": [float(p) for p in curve.support],
-                "points": [_pair(z) for z in curve.points],
+                "angles": curve.angles.tolist(),
+                "support": curve.support.tolist(),
+                "points": np.column_stack([curve.points.real, curve.points.imag]).tolist(),
             }
         case _:
             raise TypeError(f"not a region: {region!r}")
@@ -209,10 +209,14 @@ def region_from_payload(payload: dict) -> tuple[Region, dict]:
             meta,
         )
     if kind == "boundary":
+        re_parts, im_parts = zip(*payload["points"])
+        # filled part by part: re + 1j*im would turn the sign of a zero
+        points = np.empty(len(re_parts), dtype=complex)
+        points.real, points.imag = re_parts, im_parts
         curve = BoundaryCurve(
             np.array(payload["angles"], dtype=float),
             np.array(payload["support"], dtype=float),
-            np.array([complex(p[0], p[1]) for p in payload["points"]]),
+            points,
         )
         return ConvexBoundary(curve), meta
     raise ValueError(f"unknown region kind: {kind!r}")

@@ -3,9 +3,12 @@
 These share no code with the closed-form region modules; tests and the
 ``verify`` command use them as the second route when checking every radius
 or boundary.  Each engine takes a nonempty matrix of finite entries (a vector
-is one column) and raises ``ValueError`` otherwise, and works on the matrix
-divided by its largest entry modulus, so squared magnitudes neither overflow
-nor underflow wherever that modulus is a normal floating-point number.
+is one column) and raises ``ValueError`` otherwise.  It works on the matrix
+times 2**-e, where 2**e is the power of two just above its largest real or
+imaginary part, and multiplies its results by 2**e.  Both scalings are exact
+and neither overflows, subnormal entries included, so squared magnitudes stay
+in range at any finite scale; a result beyond the float range comes back as
+inf.
 
 The samplers draw from ``numpy.random.default_rng(seed)`` in a fixed order:
 every real part of the x block, then every imaginary part, then the same two
@@ -39,9 +42,10 @@ class McReport:
     points: Optional[np.ndarray] = None
 
 
-def _scaled(a) -> tuple[np.ndarray, float]:
-    """Checked complex 2-d array divided by its largest entry modulus, and
-    that modulus (1.0 for the zero matrix)."""
+def _scaled(a) -> tuple[np.ndarray, int]:
+    """Checked complex 2-d array times 2**-e, and e, where 2**e is the power
+    of two just above its largest real or imaginary part (e = 0 for the zero
+    matrix)."""
     arr = np.asarray(a, dtype=complex)
     if arr.ndim == 1:
         arr = arr[:, None]
@@ -49,16 +53,26 @@ def _scaled(a) -> tuple[np.ndarray, float]:
         raise ValueError(f"expected a nonempty matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
-    peak = float(np.abs(arr).max()) or 1.0
-    return arr / peak, peak
+    # the parts stay finite where the modulus can overflow, and ldexp cannot
+    # overflow where dividing by a subnormal peak would
+    exp = int(np.frexp(max(np.abs(arr.real).max(), np.abs(arr.imag).max()))[1])
+    scaled = np.empty_like(arr)
+    scaled.real, scaled.imag = np.ldexp(arr.real, -exp), np.ldexp(arr.imag, -exp)
+    return scaled, exp
+
+
+def _unscaled(x, exp: int):
+    """x times 2**exp, inf where that leaves the float range."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, exp)
 
 
 def _sample_forms(
-    arr: np.ndarray, peak: float, n_samples: int, seed: int, quadratic: bool, keep_points: bool
+    arr: np.ndarray, exp: int, n_samples: int, seed: int, quadratic: bool, keep_points: bool
 ) -> McReport:
     """Sample y* A x (x* A x when ``quadratic``) in real arithmetic.
 
-    ``arr`` is A divided by ``peak``.  The rows of A x are the one real block
+    ``arr`` is A times 2**-exp.  The rows of A x are the one real block
     product [x_re | x_im] [[T_re, T_im], [-T_im, T_re]] with T = A^T.  Only
     the N forms are divided by |x| |y|, and the square root is taken once,
     at the largest squared modulus.
@@ -77,11 +91,12 @@ def _sample_forms(
     norm_sq = np.einsum("kij,kij->i", x, x)
     norm_sq = norm_sq * norm_sq if quadratic else norm_sq * np.einsum("kij,kij->i", y, y)
     norm_sq[norm_sq == 0] = 1.0
-    sup_abs = peak * float(np.sqrt(np.max((re * re + im * im) / norm_sq)))
+    sup_abs = float(_unscaled(np.sqrt(np.max((re * re + im * im) / norm_sq)), exp))
     points = None
     if keep_points:
-        factor = peak / np.sqrt(norm_sq)
-        points = re * factor + 1j * (im * factor)
+        inv = 1.0 / np.sqrt(norm_sq)
+        points = np.empty(n_samples, dtype=complex)
+        points.real, points.imag = _unscaled(re * inv, exp), _unscaled(im * inv, exp)
     return McReport(n_samples=n_samples, sup_abs=sup_abs, seed=seed, points=points)
 
 
@@ -91,8 +106,8 @@ def mc_rect_sup(a, n_samples: int, seed: int, keep_points: bool = False) -> McRe
     Draw order is x real parts, x imaginary parts, y real parts, y imaginary
     parts, so reports are stable regression fixtures for a given seed.
     """
-    arr, peak = _scaled(a)
-    return _sample_forms(arr, peak, n_samples, seed, quadratic=False, keep_points=keep_points)
+    arr, exp = _scaled(a)
+    return _sample_forms(arr, exp, n_samples, seed, quadratic=False, keep_points=keep_points)
 
 
 def mc_fov_samples(a, n_samples: int, seed: int) -> McReport:
@@ -100,10 +115,10 @@ def mc_fov_samples(a, n_samples: int, seed: int) -> McReport:
 
     Draw order is x real parts, then x imaginary parts; every point is kept.
     """
-    arr, peak = _scaled(a)
+    arr, exp = _scaled(a)
     if np.ndim(a) != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("mc_fov_samples needs a square matrix")
-    return _sample_forms(arr, peak, n_samples, seed, quadratic=True, keep_points=True)
+    return _sample_forms(arr, exp, n_samples, seed, quadratic=True, keep_points=True)
 
 
 def power_sigma_max(a, n_iters: int, seed: int) -> float:
@@ -111,11 +126,12 @@ def power_sigma_max(a, n_iters: int, seed: int) -> float:
 
     The Rayleigh quotient never exceeds the true value, so the estimate is a
     certified lower bound; 200 iterations resolve well-separated spectra to
-    better than 1e-8 relative.  The iteration runs on a divided by its
-    largest entry modulus and scales the estimate back, so the Gram matrix
-    neither overflows nor underflows at any finite scale.
+    better than 1e-8 relative.  The iteration runs on a scaled by a power of
+    two and scales the estimate back, so the Gram matrix neither overflows
+    nor underflows at any finite scale; an estimate beyond the float range
+    is inf.
     """
-    arr, peak = _scaled(a)
+    arr, exp = _scaled(a)
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
     m, n = arr.shape
@@ -131,4 +147,4 @@ def power_sigma_max(a, n_iters: int, seed: int) -> float:
             return 0.0
         v = w / norm
     rho = float(np.real(v.conj() @ gram @ v))
-    return peak * float(np.sqrt(max(rho, 0.0)))
+    return float(_unscaled(np.sqrt(max(rho, 0.0)), exp))

@@ -11,8 +11,9 @@ from nrange.cli import (
     EXIT_USAGE,
     main,
 )
+from nrange.fov import fov_boundary
 from nrange.geometry import region_contains
-from nrange.io import load_region, save_matrix_json
+from nrange.io import load_matrix, load_region, save_matrix_json
 from nrange.linalg import svd
 from nrange.reference import WIDE_EXAMPLE
 
@@ -116,6 +117,35 @@ class TestCompute:
         payload = json.loads(out.read_text())
         assert payload["kind"] == "boundary"
         assert len(payload["angles"]) == 90
+
+    @pytest.mark.parametrize("n_angles", [37, 721])
+    def test_fov_odd_grid_matches_sweep(self, tmp_path, rng, n_angles):
+        # an odd grid has no opposite angles, so every angle is solved
+        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        src = tmp_path / "a.json"
+        save_matrix_json(src, a)
+        out = tmp_path / "fov.json"
+        code = main(
+            ["compute", "--input", str(src), "--set", "fov",
+             "--angles", str(n_angles), "--out", str(out)]
+        )
+        assert code == EXIT_OK
+        expected = fov_boundary(load_matrix(src), n_angles)
+        curve = load_region(out)[0].curve
+        assert np.array_equal(curve.angles, expected.angles)
+        assert np.array_equal(curve.support, expected.support)
+        assert np.array_equal(curve.points, expected.points)
+
+    def test_wl_odd_grid(self, tmp_path, rng):
+        a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        src = tmp_path / "a.json"
+        save_matrix_json(src, a)
+        out = tmp_path / "wl.json"
+        code = main(
+            ["compute", "--input", str(src), "--set", "wl", "--angles", "37", "--out", str(out)]
+        )
+        assert code == EXIT_OK
+        assert len(load_region(out)[0].curve.angles) == 37
 
     def test_wh_with_explicit_frame(self, tmp_path, rng):
         a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))

@@ -79,21 +79,61 @@ class TestFovBoundary:
         rotated = fov_boundary(np.exp(1j * phi) * a, 360)
         assert np.max(np.abs(np.roll(base.support, 30) - rotated.support)) <= 1e-9
 
+    @staticmethod
+    def _per_angle(a, theta):
+        rot = np.exp(-1j * theta) * a
+        return np.linalg.eigh((rot + rot.conj().T) / 2.0)
+
     @pytest.mark.parametrize("n", [1, 2, 9, 60])
     @pytest.mark.parametrize("n_angles", [8, 37, 720])
     def test_bit_identical_to_per_angle_loop(self, rng, n, n_angles):
         # n = 60 spans many stacked blocks; 37 angles leave a ragged last block
+        # and have no opposite pairs.  On an even grid the reference solves
+        # only the first half: angle j + N/2 lies pi after angle j, and takes
+        # the negated bottom eigenpair of angle j.
+        a = rand_complex(rng, n, n)
+        curve = fov_boundary(a, n_angles)
+        lead = n_angles // 2 if n_angles % 2 == 0 else n_angles
+        support = np.empty(n_angles)
+        points = np.empty(n_angles, dtype=complex)
+        for j in range(lead):
+            w, v = self._per_angle(a, curve.angles[j])
+            x = v[:, -1]
+            support[j], points[j] = w[-1], x.conj() @ a @ x
+            if lead < n_angles:
+                y = v[:, 0]
+                support[j + lead], points[j + lead] = -w[0], y.conj() @ a @ y
+        assert np.array_equal(curve.support, support)
+        assert np.array_equal(curve.points, points)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 60])
+    @pytest.mark.parametrize("n_angles", [8, 37, 720])
+    def test_every_angle_near_its_own_top_eigenpair(self, rng, n, n_angles):
         a = rand_complex(rng, n, n)
         curve = fov_boundary(a, n_angles)
         support = np.empty(n_angles)
         points = np.empty(n_angles, dtype=complex)
         for j, theta in enumerate(curve.angles):
-            rot = np.exp(-1j * theta) * a
-            w, v = np.linalg.eigh((rot + rot.conj().T) / 2.0)
+            w, v = self._per_angle(a, theta)
             x = v[:, -1]
             support[j], points[j] = w[-1], x.conj() @ a @ x
-        assert np.array_equal(curve.support, support)
-        assert np.array_equal(curve.points, points)
+        tol = 1e-13 * np.linalg.norm(a, 2)
+        assert np.max(np.abs(curve.support - support)) <= tol
+        assert np.max(np.abs(curve.points - points)) <= tol
+
+    @pytest.mark.parametrize("n", [2, 60])
+    @pytest.mark.parametrize("n_angles", [720, 37])
+    def test_solves_half_of_an_even_grid(self, rng, monkeypatch, n, n_angles):
+        solved = []
+        eigh = np.linalg.eigh
+
+        def counting(h):
+            solved.append(1 if h.ndim == 2 else h.shape[0])
+            return eigh(h)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        fov_boundary(rand_complex(rng, n, n), n_angles)
+        assert sum(solved) == (n_angles // 2 if n_angles % 2 == 0 else n_angles)
 
     def test_rejects_overflowing_hermitian_part(self):
         a = np.array([[1e308, 1e308], [-1e308, 1e308]])

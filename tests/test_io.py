@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_complex
+from nrange.fov import fov_boundary
 from nrange.geometry import (
     Annulus,
     BoundaryCurve,
@@ -141,3 +142,29 @@ def test_boundary_curve_round_trip_preserves_exact_floats(tmp_path):
     loaded, _ = load_region(path)
     assert np.array_equal(loaded.curve.support, support)
     assert np.array_equal(loaded.curve.points, points)
+
+
+def test_boundary_bytes_match_per_element_encoding(tmp_path, rng):
+    curve = fov_boundary(rand_complex(rng, 5, 5), 720)
+    # signed zeros must survive both ways
+    points = curve.points.copy()
+    points[:4] = [complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0), 0j]
+    support = curve.support.copy()
+    support[:2] = [-0.0, 0.0]
+    curve = BoundaryCurve(curve.angles, support, points)
+    meta = {"set": "fov"}
+    path = tmp_path / "b.json"
+    save_region(path, ConvexBoundary(curve), meta)
+    expected = {
+        "kind": "boundary",
+        "angles": [float(t) for t in curve.angles],
+        "support": [float(p) for p in curve.support],
+        "points": [[float(z.real), float(z.imag)] for z in curve.points],
+        "meta": meta,
+    }
+    assert path.read_text() == json.dumps(expected)
+    loaded, _ = load_region(path)
+    for got, want in [(loaded.curve.support, support), (loaded.curve.points.real, points.real),
+                      (loaded.curve.points.imag, points.imag)]:
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

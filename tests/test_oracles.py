@@ -149,6 +149,33 @@ class TestSamplerScale:
         assert np.all(np.isfinite(scaled.points))
         assert abs(scaled.sup_abs / scale - base.sup_abs) <= 1e-15 * base.sup_abs
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("oracle", ["rect", "fov", "power"])
+    def test_subnormal_matrix(self, oracle):
+        # every entry below the smallest normal float, 2.2e-308
+        a = rand_complex(np.random.default_rng(8), 4, 4) / 8
+        run = {"rect": lambda m: mc_rect_sup(m, 2000, 5).sup_abs,
+               "fov": lambda m: mc_fov_samples(m, 2000, 5).sup_abs,
+               "power": lambda m: power_sigma_max(m, 200, 5)}[oracle]
+        tiny = 3e-309 * a
+        assert np.abs(tiny).max() < 2.2e-308
+        estimate, base = run(tiny), run(a)
+        # subnormal entries keep fewer than 53 significant bits
+        assert abs(estimate / 3e-309 - base) <= 1e-12 * base
+
+    @pytest.mark.filterwarnings("error")
+    def test_entry_modulus_beyond_float_range(self):
+        # |a_00| = 2.4e308 overflows although both its parts are finite
+        huge = np.array([[1.7e308 + 1.7e308j, 1.0], [0.0, 1.0]])
+        assert power_sigma_max(huge, 50, 1) == np.inf
+        assert mc_rect_sup(huge, 2000, 1).sup_abs == np.inf
+        # just inside the range the estimate stays finite and accurate
+        big = np.array([[1.2e308 + 1.2e308j, 1.0], [0.0, 1.0]])
+        top = 4.0 * float(svd(big / 4.0).sigma[0])
+        assert abs(power_sigma_max(big, 50, 1) - top) <= 1e-12 * top
+        sampled = mc_rect_sup(big, 2000, 1)
+        assert np.isfinite(sampled.sup_abs) and sampled.sup_abs <= top * (1 + 1e-15)
+
 
 HOSTILE = [
     (np.array([[1.0, np.nan], [0.0, 1.0]]), "finite"),
