@@ -42,19 +42,22 @@ _SETS = ("w", "fov", "wl", "wh", "phik", "wnorm")
 def _resolve_seed(flag_value) -> int | None:
     """``--seed``, else ``NRANGE_SEED``, else 0.
 
-    Returns None, after a one-line message on stderr, when ``NRANGE_SEED``
-    is needed but is not an integer.
+    Returns None, after a one-line message on stderr, when the seed is
+    negative or ``NRANGE_SEED`` is needed but is not an integer.
     """
     if flag_value is not None:
-        return int(flag_value)
-    env = os.environ.get("NRANGE_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        print(f"error: NRANGE_SEED must be an integer, got {env!r}", file=sys.stderr)
+        source, seed = "--seed", flag_value
+    else:
+        source, env = "NRANGE_SEED", os.environ.get("NRANGE_SEED", "0")
+        try:
+            seed = int(env)
+        except ValueError:
+            print(f"error: NRANGE_SEED must be an integer, got {env!r}", file=sys.stderr)
+            return None
+    if seed < 0:
+        print(f"error: {source} must be non-negative, got {seed}", file=sys.stderr)
         return None
+    return seed
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -91,21 +91,21 @@ def hermitian_eigen(hm) -> HermEig:
     return HermEig(lam=w[::-1].copy(), frame=v[:, ::-1].copy())
 
 
-def random_isometries(m: int, k: int, seeds) -> np.ndarray:
-    """Stack of random m-by-k isometries, shape (len(seeds), m, k).
+def random_isometries(m: int, k: int, count: int, seed) -> np.ndarray:
+    """Stack of ``count`` random m-by-k isometries, shape (count, m, k).
 
-    Row i depends on ``seeds[i]`` alone: complex Gaussian entries from one
-    generator per seed, then one QR of the whole stack, with each R diagonal
-    rotated to be real nonnegative, which pins every factor uniquely.
+    One ``default_rng(seed)`` draws ``(count, 2, m, k)`` standard normals,
+    frame i taking block i as real then imaginary parts, so a shorter stack
+    is a prefix of a longer one.  One QR of the whole stack follows, with
+    each R diagonal rotated to be real nonnegative, which pins every factor
+    uniquely.
     """
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
-    seeds = list(seeds)
-    g = np.empty((len(seeds), m, k), dtype=complex)
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        g[i] = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
-    q, r = np.linalg.qr(g)
+    if count < 1:
+        raise ValueError(f"need count >= 1, got {count}")
+    draw = np.random.default_rng(seed).standard_normal((count, 2, m, k))
+    q, r = np.linalg.qr(draw[:, 0] + 1j * draw[:, 1])
     d = np.diagonal(r, axis1=1, axis2=2).copy()
     d[d == 0] = 1.0
     return q * (d / np.abs(d))[:, None, :]
@@ -114,9 +114,9 @@ def random_isometries(m: int, k: int, seeds) -> np.ndarray:
 def random_isometry(m: int, k: int, seed) -> np.ndarray:
     """Random m-by-k matrix with orthonormal columns, identical per seed.
 
-    The one-seed case of ``random_isometries``.
+    The ``count = 1`` case of ``random_isometries``.
     """
-    return random_isometries(m, k, [seed])[0]
+    return random_isometries(m, k, 1, seed)[0]
 
 
 def isometry_defect(h) -> float:

@@ -298,11 +298,11 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
     half-step solves the one-sided isometry subproblem exactly whenever it is
     feasible and otherwise falls back to the phase-steered polar update.
     Restart 0 starts from (possibly mixed) singular-vector frames and runs
-    alone; only if it does not certify do the other restarts, from random
-    frames derived from the seed, run together as one stack.  Returns the
-    first certifying restart in index order, else the lowest-index best
-    pair; a residual at or below ``tol`` certifies the value, anything else
-    is inconclusive.
+    alone; only if it does not certify do the other restarts, from the
+    frames ``random_isometries(min(m, n), k, restarts - 1, (seed, 1))``,
+    run together as one stack.  Returns the first certifying restart in
+    index order, else the lowest-index best pair; a residual at or below
+    ``tol`` certifies the value, anything else is inconclusive.
     """
     arr = as_matrix(a)
     m, n = arr.shape
@@ -329,7 +329,7 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
     left, right, res, iterations = _descend(arr, z, start[None], near_origin, max_iter, tol)
     pick, used = 0, 1
     if res[0] > tol and restarts > 1:
-        starts = random_isometries(n, k, [(seed, attempt) for attempt in range(1, restarts)])
+        starts = random_isometries(n, k, restarts - 1, (seed, 1))
         more = _descend(arr, z, starts, near_origin, max_iter, tol)
         left, right, res, iterations = (
             np.concatenate(pair) for pair in zip((left, right, res, iterations), more))
@@ -368,7 +368,8 @@ def projector_intersection_check(a, k: int, n_trials: int, seed: int) -> Project
     Random (n-k+1)-dimensional right subspaces and (m-k+1)-dimensional left
     subspaces keep the projected spectral norm at or above sigma_k, and the
     deterministic frames built from the trailing singular vectors attain it
-    exactly.
+    exactly.  The n_trials right frames are one ``random_isometries`` stack
+    from seed ``(seed, 0)`` and the left frames one from ``(seed, 1)``.
     """
     arr = as_matrix(a)
     m, n = arr.shape
@@ -380,8 +381,8 @@ def projector_intersection_check(a, k: int, n_trials: int, seed: int) -> Project
     sigma_k = float(sig[k - 1])
     right_dim = n - k + 1
     left_dim = m - k + 1
-    right = random_isometries(n, right_dim, [(seed, 2 * trial) for trial in range(n_trials)])
-    left = random_isometries(m, left_dim, [(seed, 2 * trial + 1) for trial in range(n_trials)])
+    right = random_isometries(n, right_dim, n_trials, (seed, 0))
+    left = random_isometries(m, left_dim, n_trials, (seed, 1))
     # the largest singular value of each projected matrix is its 2-norm
     min_right = float(np.linalg.svd(arr @ (right @ right.conj().swapaxes(1, 2)),
                                     compute_uv=False)[:, 0].min())

@@ -55,7 +55,11 @@ class _Canvas:
         )
 
     def polyline(self, zs, style: str, close: bool = True) -> None:
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (self.px(z) for z in zs))
+        zs = np.asarray(zs, dtype=complex)
+        xy = np.column_stack([_HALF + zs.real * self.scale, _HALF - zs.imag * self.scale])
+        # _fmt's digits; at six decimals only a whole token reads "-0.000000"
+        coords = (" ".join(["%.6f,%.6f"] * len(xy)) % tuple(xy.ravel().tolist())
+                  ).replace("-0.000000", "0.000000")
         tag = "polygon" if close else "polyline"
         self.parts.append(f'<{tag} points="{coords}" fill="none" {style}/>')
 

@@ -246,6 +246,22 @@ class TestReproduce:
             assert captured.err.count("\n") == 1 and "NRANGE_SEED" in captured.err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["reproduce", "verify"])
+    @pytest.mark.parametrize("source", ["--seed", "NRANGE_SEED"])
+    def test_negative_seed_is_usage(self, tmp_path, monkeypatch, capsys, command, source):
+        out_dir = tmp_path / "a"
+        argv = (["reproduce", "--figure", "sec2-example", "--out-dir", str(out_dir)]
+                if command == "reproduce" else ["verify", "--suite", "prop12"])
+        if source == "--seed":
+            argv += ["--seed", "-5"]
+        else:
+            monkeypatch.setenv("NRANGE_SEED", "-1")
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and source in captured.err
+        assert not out_dir.exists()
+
     def test_io_failure_exit_code(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")

@@ -108,17 +108,33 @@ class TestRandomIsometry:
         with pytest.raises(ValueError):
             random_isometry(2, 3, seed=0)
 
+    @staticmethod
+    def stack_reference(m, k, count, seed):
+        """One generator, one (count, 2, m, k) draw, QR and phase fix per frame."""
+        draw = np.random.default_rng(seed).standard_normal((count, 2, m, k))
+        frames = []
+        for real, imag in draw:
+            q, r = np.linalg.qr(real + 1j * imag)
+            d = np.diagonal(r).copy()
+            d[d == 0] = 1.0
+            frames.append(q * (d / np.abs(d)))
+        return np.array(frames)
+
     @pytest.mark.parametrize("m, k", [(1, 1), (3, 1), (4, 4), (7, 3), (12, 5), (20, 20)])
     def test_stack_rows_match_single_seed(self, m, k):
-        seeds = [0, 17, (3, 1), (3, 2), (9, 4, 1)]
-        stack = random_isometries(m, k, seeds)
-        assert stack.shape == (len(seeds), m, k)
-        for row, seed in zip(stack, seeds):
-            assert np.array_equal(row, random_isometry(m, k, seed))
+        for seed in (0, 17, (3, 1), (9, 4, 1)):
+            stack = random_isometries(m, k, 5, seed)
+            assert stack.shape == (5, m, k)
+            assert np.array_equal(stack, self.stack_reference(m, k, 5, seed))
+            assert np.array_equal(random_isometries(m, k, 2, seed), stack[:2])
+            assert np.array_equal(stack[0], random_isometry(m, k, seed))
 
     def test_stack_rejects_bad_rank(self):
         with pytest.raises(ValueError):
-            random_isometries(2, 3, [0, 1])
+            random_isometries(2, 3, 2, 0)
+        for count in (0, -1):
+            with pytest.raises(ValueError, match="count"):
+                random_isometries(3, 2, count, 0)
 
     def test_require_isometry_rejects_skewed(self, rng):
         with pytest.raises(ValueError, match="orthonormal"):

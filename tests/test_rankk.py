@@ -3,7 +3,7 @@ import pytest
 
 from conftest import rand_complex
 from nrange.geometry import Annulus, Circle, Disc, Empty, Point, Segment, region_contains
-from nrange.linalg import isometry_defect, random_isometry, svd
+from nrange.linalg import isometry_defect, random_isometries, random_isometry, svd
 from nrange.rankk import (
     ProjectorBoundReport,
     find_witness,
@@ -176,6 +176,20 @@ class TestHermitianInterval:
             hermitian_rank_interval(rand_complex(rng, 3, 3), 1)
 
 
+@pytest.fixture
+def generator_seeds(monkeypatch):
+    """Seed of every np.random.default_rng constructed after this fixture."""
+    seeds = []
+    real_rng = np.random.default_rng
+
+    def recording_rng(seed=None):
+        seeds.append(seed)
+        return real_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    return seeds
+
+
 class TestFindWitness:
     def test_k1_boundary_phases(self, rng):
         a = rand_complex(rng, 4, 3)
@@ -293,15 +307,15 @@ class TestProjectorIntersection:
 
     @staticmethod
     def per_trial_reference(a, k, n_trials, seed):
-        """The check as one frame, one QR and one 2-norm per trial."""
+        """The check as one 2-norm per trial, on frames sliced from the two stacks."""
         m, n = a.shape
         u_full, sig, vh_full = np.linalg.svd(a, full_matrices=True)
         sigma_k = float(sig[k - 1])
+        rights = random_isometries(n, n - k + 1, n_trials, (seed, 0))
+        lefts = random_isometries(m, m - k + 1, n_trials, (seed, 1))
         min_right = min_left = np.inf
-        for trial in range(n_trials):
-            g = random_isometry(n, n - k + 1, seed=(seed, 2 * trial))
+        for g, l in zip(rights, lefts):
             min_right = min(min_right, float(np.linalg.norm(a @ (g @ g.conj().T), 2)))
-            l = random_isometry(m, m - k + 1, seed=(seed, 2 * trial + 1))
             min_left = min(min_left, float(np.linalg.norm((l @ l.conj().T) @ a, 2)))
         g_star = vh_full.conj().T[:, k - 1:]
         right_star = float(np.linalg.norm(a @ (g_star @ g_star.conj().T), 2))
@@ -344,6 +358,12 @@ class TestProjectorIntersection:
         assert report.n_trials == 100
         assert calls["qr"] <= 2
         assert calls["svd"] <= 6
+
+    def test_one_generator_per_frame_stack(self, rng, generator_seeds):
+        # the right and left frames are one stack each; one generator per
+        # frame made 2 x n_trials of them
+        projector_intersection_check(rand_complex(rng, 5, 4), 2, 100, seed=3)
+        assert generator_seeds == [(3, 0), (3, 1)]
 
 
 def assert_consistent_pair(a, k, wit):
@@ -427,6 +447,30 @@ class TestStackedWitnessSearch:
         assert 1 < find_witness(a, 2, z, seed=1, restarts=4).iterations <= 500
         member = find_witness(a, 2, 0.5 * float(svd(a).sigma[1]), seed=1)
         assert member.iterations == 1
+
+    def test_one_generator_for_the_restarts(self, rng, generator_seeds):
+        a = rand_complex(rng, 5, 3)
+        z = 1.2 * float(svd(a).sigma[0]) * np.exp(0.7j)
+        assert find_witness(a, 2, z, seed=5, restarts=20).restarts_used == 20
+        assert generator_seeds == [(5, 1)]
+
+    @pytest.mark.parametrize("shape,k,scale", [((4, 3), 1, 1.3), ((5, 3), 2, 1.2),
+                                               ((3, 3), 2, 1.1), ((2, 5), 2, 1.4)])
+    def test_fewer_restarts_run_a_prefix_of_the_frames(self, rng, shape, k, scale):
+        # restarts 1..4 of a 5-restart search are restarts 1..4 of a
+        # 20-restart one, so the longer search can only do better and, with
+        # the shorter one's residual as tolerance, returns the same pair
+        a = rand_complex(rng, *shape)
+        z = scale * float(svd(a).sigma[k - 1]) * np.exp(0.4j)
+        assert not rank_k_contains(a, k, z)
+        short = find_witness(a, k, z, seed=12, restarts=5)
+        assert find_witness(a, k, z, seed=12, restarts=20).residual <= short.residual
+        at_short = find_witness(a, k, z, seed=12, restarts=5, tol=short.residual)
+        at_long = find_witness(a, k, z, seed=12, restarts=20, tol=short.residual)
+        assert at_long.restarts_used == at_short.restarts_used <= 5
+        assert at_long.residual == at_short.residual == short.residual
+        assert np.array_equal(at_long.left, at_short.left)
+        assert np.array_equal(at_long.right, at_short.right)
 
     def test_svd_calls_do_not_grow_with_restarts(self, rng, monkeypatch):
         # one SVD per half-step for the whole stack: 2 x (passes of
