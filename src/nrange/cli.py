@@ -17,12 +17,12 @@ import numpy as np
 
 from . import __version__
 from .fov import fov_boundary, sharp_points
-from .geometry import Circle, ConvexBoundary, Disc
+from .geometry import Circle, ConvexBoundary, radial_interval
 from .io import MatrixParseError, load_matrix, save_region
 from .linalg import svd
 from .projrange import ProjectorSetting, higher_range, lower_range
 from .rankk import rank_k_region
-from .rectrange import NormHypothesisError, norm_range_disc, range_disc
+from .rectrange import norm_range_disc, range_disc
 from .reference import TALL_EXAMPLE, TALL_EXAMPLE_FRAME, WIDE_EXAMPLE
 from .svgplot import render_regions
 from .verify import SUITE_NAMES, run_suites
@@ -90,19 +90,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args) -> int:
-    try:
-        matrix = load_matrix(args.input)
-    except (MatrixParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    m, n = matrix.shape
-    sigma = [float(s) for s in svd(matrix).sigma]
-    meta = {"set": args.set_name, "sigma": sigma, "tool_version": __version__}
-    if args.k is not None:
-        meta["k"] = args.k
-
     name = args.set_name
     try:
+        matrix = load_matrix(args.input)
+        m, n = matrix.shape
+        sigma = [float(s) for s in svd(matrix).sigma]
+        meta = {"set": name, "sigma": sigma, "tool_version": __version__}
+        if args.k is not None:
+            meta["k"] = args.k
         if name == "w":
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -119,18 +114,8 @@ def _cmd_compute(args) -> int:
                 return EXIT_USAGE
             region = ConvexBoundary(fov_boundary(matrix, args.angles))
         elif name in ("wl", "wh"):
-            frame = None
-            if args.frame is not None:
-                try:
-                    frame = load_matrix(args.frame)
-                except (MatrixParseError, OSError) as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return EXIT_PARSE
-            try:
-                setting = ProjectorSetting(matrix, frame)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_DOMAIN
+            frame = None if args.frame is None else load_matrix(args.frame)
+            setting = ProjectorSetting(matrix, frame)
             curve = (
                 lower_range(setting, args.angles)
                 if name == "wl"
@@ -145,21 +130,15 @@ def _cmd_compute(args) -> int:
                 print("error: --k must be >= 1", file=sys.stderr)
                 return EXIT_USAGE
             region = rank_k_region(matrix, args.k).region
-            meta["k"] = args.k
         else:  # wnorm
             if args.comparison is None:
                 print("error: --set wnorm needs --B", file=sys.stderr)
                 return EXIT_USAGE
-            try:
-                comparison = load_matrix(args.comparison)
-            except (MatrixParseError, OSError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_PARSE
-            try:
-                region = norm_range_disc(matrix, comparison)
-            except NormHypothesisError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_DOMAIN
+            region = norm_range_disc(matrix, load_matrix(args.comparison))
+    # a MatrixParseError is a ValueError, so this clause must come first
+    except (MatrixParseError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -173,7 +152,7 @@ def _cmd_compute(args) -> int:
     if args.svg is not None:
         outer = max(sigma[0], 1e-9)
         if name == "wnorm":
-            outer = max(outer, _region_reach(region))
+            outer = max(outer, radial_interval(region)[1])
         text = render_regions(
             [(region, 'stroke="#1f6fb2" stroke-width="2"')],
             outer,
@@ -186,14 +165,6 @@ def _cmd_compute(args) -> int:
             return EXIT_IO
         print(args.svg)
     return EXIT_OK
-
-
-def _region_reach(region) -> float:
-    match region:
-        case Disc(c, r) | Circle(c, r):
-            return abs(c) + r
-        case _:
-            return 1.0
 
 
 def _cmd_verify(args) -> int:

@@ -98,24 +98,17 @@ def fov_boundary(a, n_angles: int = 720) -> BoundaryCurve:
     return BoundaryCurve(angles, support, points)
 
 
-def sharp_points(
-    curve: BoundaryCurve,
-    min_cone_width: float | None = None,
-    cluster_tol: float | None = None,
-) -> list[SharpPoint]:
+def sharp_points(curve: BoundaryCurve) -> list[SharpPoint]:
     """Corners of a convex boundary curve.
 
     A corner is a boundary point that stays the support maximizer across a
-    cyclic run of grid angles whose total width reaches ``min_cone_width``.
-    Defaults: three grid steps of cone width, and clustering at 1e-6 relative
-    to the curve scale.  Smooth boundaries yield an empty list.
+    cyclic run of grid angles at least three grid steps wide; consecutive
+    samples within 1e-6 times the curve scale count as one point.  Smooth
+    boundaries yield an empty list.
     """
     n = len(curve.angles)
     step = curve.grid_step()
-    if min_cone_width is None:
-        min_cone_width = 3.0 * step
-    if cluster_tol is None:
-        cluster_tol = 1e-6 * curve.scale()
+    cluster_tol = 1e-6 * curve.scale()
     pts = curve.points
     same = np.abs(np.diff(pts, append=pts[:1])) <= cluster_tol
     if same.all():
@@ -126,7 +119,7 @@ def sharp_points(
         start = (int(start_break) + 1) % n
         length = (int(end_break) - start) % n + 1
         width = length * step
-        if width + 1e-12 < min_cone_width:
+        if width + 1e-12 < 3.0 * step:
             continue
         idx = (start + np.arange(length)) % n
         # the run's middle angle sits strictly inside the normal cone, where

@@ -30,6 +30,7 @@ __all__ = [
     "curve_from_points",
     "default_angles",
     "normalize_region",
+    "radial_interval",
     "rebuild_support",
     "region_contains",
     "region_support_curve",
@@ -143,6 +144,14 @@ class Ellipse:
         if self.major_axis_length < gap - 1e-12 * max(1.0, gap):
             raise ValueError("major axis shorter than the focal distance")
 
+    def axes(self) -> tuple[complex, float, float, float]:
+        """Centre, half major and half minor axes, and the major-axis direction."""
+        half_major = self.major_axis_length / 2.0
+        foc = abs(self.focus2 - self.focus1) / 2.0
+        half_minor = float(np.sqrt(max(half_major**2 - foc**2, 0.0)))
+        axis = np.angle(self.focus2 - self.focus1) if self.focus1 != self.focus2 else 0.0
+        return (self.focus1 + self.focus2) / 2.0, half_major, half_minor, axis
+
 
 @dataclass(frozen=True)
 class ConvexBoundary:
@@ -191,6 +200,25 @@ def region_contains(region: Region, z: complex, tol: float = 0.0) -> bool:
             re = np.real(np.exp(-1j * curve.angles) * z)
             return bool(np.all(re <= curve.support + tol))
     raise TypeError(f"not a region: {region!r}")
+
+
+def radial_interval(region: Region) -> tuple[float, float] | None:
+    """Nearest and farthest distance from the origin over the region's points.
+
+    Defined for points, discs, circles and rings; ``None`` for ``Empty``.
+    """
+    match region:
+        case Empty():
+            return None
+        case Point(z):
+            return (abs(z), abs(z))
+        case Disc(c, r):
+            return (max(0.0, abs(c) - r), abs(c) + r)
+        case Circle(c, r):
+            return (abs(abs(c) - r), abs(c) + r)
+        case Annulus(c, lo, hi):
+            return (max(0.0, lo - abs(c), abs(c) - hi), abs(c) + hi)
+    raise TypeError(f"no radial interval for {region!r}")
 
 
 def normalize_region(region: Region) -> Region:
@@ -269,12 +297,8 @@ def region_support_curve(region: Region, angles) -> BoundaryCurve:
             support = np.real(np.exp(-1j * grid) * c) + r
             points = c + r * np.exp(1j * grid)
             return BoundaryCurve(grid, support, points)
-        case Ellipse(f1, f2, major):
-            centre = (f1 + f2) / 2.0
-            half_major = major / 2.0
-            foc = abs(f2 - f1) / 2.0
-            half_minor = float(np.sqrt(max(half_major**2 - foc**2, 0.0)))
-            axis = np.angle(f2 - f1) if f1 != f2 else 0.0
+        case Ellipse() as ellipse:
+            centre, half_major, half_minor, axis = ellipse.axes()
             psi = grid - axis
             h = np.sqrt((half_major * np.cos(psi)) ** 2 + (half_minor * np.sin(psi)) ** 2)
             support = np.real(np.exp(-1j * grid) * centre) + h

@@ -5,12 +5,18 @@ Matrix files are either JSON objects ``{"rows": m, "cols": n, "data":
 the two dimensions followed by complex literals like ``6+1i`` or ``-3-6i``.
 Region files are JSON with a ``kind`` tag, a payload per kind, and a ``meta``
 object; floats round-trip losslessly (shortest-repr, 17 significant digits).
+One table, ``_KINDS``, maps each tag to its region dataclass and the payload
+keys of its fields in field order; a field annotated ``complex`` is written
+as an ``[re, im]`` pair and every other field as a float.  Only ``boundary``
+(a sampled ``ConvexBoundary``) has its own layout: ``angles`` and ``support``
+lists and a list of ``[re, im]`` points.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -143,41 +149,38 @@ def save_matrix_json(path, a) -> None:
     Path(path).write_text(json.dumps(payload))
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+# kind tag -> (dataclass, payload keys in field order)
+_KINDS = {
+    "empty": (Empty, ()),
+    "point": (Point, ("point",)),
+    "segment": (Segment, ("start", "end")),
+    "disc": (Disc, ("center", "radius")),
+    "circle": (Circle, ("center", "radius")),
+    "annulus": (Annulus, ("center", "inner", "outer")),
+    "ellipse": (Ellipse, ("focus1", "focus2", "major_axis_length")),
+}
+_TAGS = {cls: kind for kind, (cls, _) in _KINDS.items()}
 
 
 def region_to_payload(region: Region, meta: dict) -> dict:
     """Serializable dict for a region plus its metadata block."""
-    match region:
-        case Empty():
-            body = {"kind": "empty"}
-        case Point(z):
-            body = {"kind": "point", "point": _pair(z)}
-        case Segment(a, b):
-            body = {"kind": "segment", "start": _pair(a), "end": _pair(b)}
-        case Disc(c, r):
-            body = {"kind": "disc", "center": _pair(c), "radius": float(r)}
-        case Circle(c, r):
-            body = {"kind": "circle", "center": _pair(c), "radius": float(r)}
-        case Annulus(c, lo, hi):
-            body = {"kind": "annulus", "center": _pair(c), "inner": float(lo), "outer": float(hi)}
-        case Ellipse(f1, f2, major):
-            body = {
-                "kind": "ellipse",
-                "focus1": _pair(f1),
-                "focus2": _pair(f2),
-                "major_axis_length": float(major),
-            }
-        case ConvexBoundary(curve):
-            body = {
-                "kind": "boundary",
-                "angles": curve.angles.tolist(),
-                "support": curve.support.tolist(),
-                "points": np.column_stack([curve.points.real, curve.points.imag]).tolist(),
-            }
-        case _:
-            raise TypeError(f"not a region: {region!r}")
+    if isinstance(region, ConvexBoundary):
+        curve = region.curve
+        body = {
+            "kind": "boundary",
+            "angles": curve.angles.tolist(),
+            "support": curve.support.tolist(),
+            "points": np.column_stack([curve.points.real, curve.points.imag]).tolist(),
+        }
+    elif type(region) in _TAGS:
+        kind = _TAGS[type(region)]
+        body = {"kind": kind}
+        for key, field in zip(_KINDS[kind][1], fields(region)):
+            value = getattr(region, field.name)
+            pair = field.type == "complex"  # annotations are postponed, so strings
+            body[key] = [float(value.real), float(value.imag)] if pair else float(value)
+    else:
+        raise TypeError(f"not a region: {region!r}")
     body["meta"] = meta
     return body
 
@@ -186,28 +189,6 @@ def region_from_payload(payload: dict) -> tuple[Region, dict]:
     """Inverse of :func:`region_to_payload`."""
     kind = payload.get("kind")
     meta = payload.get("meta", {})
-
-    def cplx(key):
-        re_im = payload[key]
-        return complex(float(re_im[0]), float(re_im[1]))
-
-    if kind == "empty":
-        return Empty(), meta
-    if kind == "point":
-        return Point(cplx("point")), meta
-    if kind == "segment":
-        return Segment(cplx("start"), cplx("end")), meta
-    if kind == "disc":
-        return Disc(cplx("center"), float(payload["radius"])), meta
-    if kind == "circle":
-        return Circle(cplx("center"), float(payload["radius"])), meta
-    if kind == "annulus":
-        return Annulus(cplx("center"), float(payload["inner"]), float(payload["outer"])), meta
-    if kind == "ellipse":
-        return (
-            Ellipse(cplx("focus1"), cplx("focus2"), float(payload["major_axis_length"])),
-            meta,
-        )
     if kind == "boundary":
         re_parts, im_parts = zip(*payload["points"])
         # filled part by part: re + 1j*im would turn the sign of a zero
@@ -219,7 +200,16 @@ def region_from_payload(payload: dict) -> tuple[Region, dict]:
             points,
         )
         return ConvexBoundary(curve), meta
-    raise ValueError(f"unknown region kind: {kind!r}")
+    try:
+        cls, keys = _KINDS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable tag
+        raise ValueError(f"unknown region kind: {kind!r}") from None
+    values = [
+        complex(float(payload[key][0]), float(payload[key][1]))
+        if field.type == "complex" else float(payload[key])
+        for key, field in zip(keys, fields(cls))
+    ]
+    return cls(*values), meta
 
 
 def save_region(path, region: Region, meta: dict) -> None:

@@ -141,17 +141,16 @@ class SharpTransfer:
     sharp_in_lower: bool
 
 
-def sharp_transfer_report(
-    setting: ProjectorSetting,
-    n_angles: int = 720,
-    location_tol: float = 1e-6,
-) -> list[SharpTransfer]:
+def sharp_transfer_report(setting: ProjectorSetting, n_angles: int = 720) -> list[SharpTransfer]:
     """Track every nonzero corner of the higher range.
 
     Each such corner must be an eigenvalue of the compressed matrix and a
     corner of the lower range as well; the report records both facts so the
     caller can assert them (the converse direction can genuinely fail).
+    Corners within 1e-6 of the origin are skipped, and a corner matches an
+    eigenvalue or a lower-range corner within 1e-6.
     """
+    location_tol = 1e-6
     if setting.orientation != "tall":
         raise ValueError("the transfer report needs the tall orientation")
     a, h = setting.matrix, setting.frame

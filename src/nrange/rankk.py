@@ -205,27 +205,23 @@ def _initial_right_frame(sig, v, m: int, n: int, k: int, z: complex) -> np.ndarr
 
     While 2k fits inside m the top-k right singular vectors suffice; past
     that, the surplus columns must compress to norm |z| exactly, so each one
-    either reuses an index whose singular value already equals |z| or mixes
-    the largest and smallest unused indices.  Requires m >= n; all column
-    index sets stay disjoint, so the frame is orthonormal by construction.
+    mixes the largest and smallest unused indices hi and lo with weights c
+    and sqrt(1 - c^2), c^2 = (|z|^2 - sig_lo^2) / (sig_hi^2 - sig_lo^2)
+    clipped to [0, 1], whenever sig_hi > sig_lo.  Requires m >= n; all
+    column index sets stay disjoint, so the frame is orthonormal by
+    construction.
     """
     pins = max(0, 2 * k - m)
     cols = [v[:, :k - pins]]
     available = list(range(k - pins, n))
     r = abs(z)
-    match_tol = 1e-9 * max(float(sig[0]), 1.0)
     for _ in range(pins):
         if not available:
             break
-        exact = next((j for j in available if abs(float(sig[j]) - r) <= match_tol), None)
-        if exact is not None:
-            cols.append(v[:, exact])
-            available.remove(exact)
-            continue
         if len(available) >= 2:
             hi, lo = available[0], available[-1]
             sa, sp = float(sig[hi]), float(sig[lo])
-            if sa - sp > match_tol:
+            if sa > sp:
                 c2 = np.clip((r * r - sp * sp) / (sa * sa - sp * sp), 0.0, 1.0)
                 cols.append(np.sqrt(c2) * v[:, hi] + np.sqrt(1.0 - c2) * v[:, lo])
                 available = available[1:-1]
@@ -312,6 +308,8 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
         raise ValueError("restarts must be >= 1")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     z = complex(z)
     if m < n:
         # Work on the adjoint so the exact step sees the taller side.

@@ -54,14 +54,14 @@ class _Canvas:
             f'fill="none" {style}/>'
         )
 
-    def polyline(self, zs, style: str, close: bool = True) -> None:
+    def polyline(self, zs, style: str) -> None:
+        """Closed outline through the points, drawn as an SVG polygon."""
         zs = np.asarray(zs, dtype=complex)
         xy = np.column_stack([_HALF + zs.real * self.scale, _HALF - zs.imag * self.scale])
         # _fmt's digits; at six decimals only a whole token reads "-0.000000"
         coords = (" ".join(["%.6f,%.6f"] * len(xy)) % tuple(xy.ravel().tolist())
                   ).replace("-0.000000", "0.000000")
-        tag = "polygon" if close else "polyline"
-        self.parts.append(f'<{tag} points="{coords}" fill="none" {style}/>')
+        self.parts.append(f'<polygon points="{coords}" fill="none" {style}/>')
 
     def marker(self, z: complex, style: str, size: float = 6.0) -> None:
         x, y = self.px(z)
@@ -77,13 +77,9 @@ class _Canvas:
         )
 
 
-def _ellipse_samples(region: Ellipse, count: int = 256) -> np.ndarray:
-    centre = (region.focus1 + region.focus2) / 2.0
-    half_major = region.major_axis_length / 2.0
-    foc = abs(region.focus2 - region.focus1) / 2.0
-    half_minor = float(np.sqrt(max(half_major**2 - foc**2, 0.0)))
-    axis = np.angle(region.focus2 - region.focus1) if region.focus1 != region.focus2 else 0.0
-    t = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+def _ellipse_samples(region: Ellipse) -> np.ndarray:
+    centre, half_major, half_minor, axis = region.axes()
+    t = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     return centre + np.exp(1j * axis) * (half_major * np.cos(t) + 1j * half_minor * np.sin(t))
 
 

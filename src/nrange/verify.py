@@ -52,20 +52,14 @@ def _separated_matrix(rng, m: int, n: int, rel_gap: float = 0.05, tries: int = 6
     return arr
 
 
-def _radial_interval(region) -> tuple[float, float] | None:
-    """(inner, outer) radius of an origin-centred circular region."""
-    match region:
-        case geometry.Empty():
-            return None
-        case geometry.Point(z):
-            return (abs(z), abs(z))
-        case geometry.Disc(c, r):
-            return (0.0, abs(c) + r)
-        case geometry.Circle(_, r):
-            return (r, r)
-        case geometry.Annulus(_, lo, hi):
-            return (lo, hi)
-    raise TypeError(f"not a circular region: {region!r}")
+def _check(suite: str, name: str, bad: list[str], shown: int = 3) -> CheckResult:
+    """Passes when no failure was collected; the detail joins the first ``shown``."""
+    return CheckResult(suite, name, not bad, "; ".join(bad[:shown]))
+
+
+def _two_sided_gap(a, b) -> float:
+    """Largest support excess of either curve over the other on their shared grid."""
+    return max(support_gap(a, b), support_gap(b, a))
 
 
 def _matrix_repr(a: np.ndarray) -> str:
@@ -94,7 +88,7 @@ def suite_prop1(seed: int, tol: float = 1e-8) -> list[CheckResult]:
     radius_bad, witness_bad, window_bad, upper_bad = [], [], [], []
     for idx, (label, a) in enumerate(cases + box_cases):
         region = rectrange.range_disc(a)
-        radius = _radial_interval(region)[1]
+        radius = geometry.radial_interval(region)[1]
         power = oracles.power_sigma_max(a, 200, _child_seed(seed, 1, idx))
         if abs(radius - power) > tol * max(1.0, radius):
             radius_bad.append(f"{label}: radius={radius!r} power={power!r}")
@@ -111,14 +105,11 @@ def suite_prop1(seed: int, tol: float = 1e-8) -> list[CheckResult]:
         if idx < len(cases) and report.sup_abs < 0.97 * top:
             window_bad.append(f"{label}: sup={report.sup_abs!r} top={top!r}")
 
-    def check(name, bad):
-        return CheckResult("prop1", name, not bad, "; ".join(bad[:3]))
-
     return [
-        check("radius-matches-power-iteration", radius_bad),
-        check("boundary-witness-attains-radius", witness_bad),
-        check("sampling-never-exceeds-radius", upper_bad),
-        check("sampling-sup-reaches-0.97-radius", window_bad),
+        _check("prop1", "radius-matches-power-iteration", radius_bad),
+        _check("prop1", "boundary-witness-attains-radius", witness_bad),
+        _check("prop1", "sampling-never-exceeds-radius", upper_bad),
+        _check("prop1", "sampling-sup-reaches-0.97-radius", window_bad),
     ]
 
 
@@ -142,7 +133,7 @@ def suite_prop5(seed: int, tol: float = 1e-8) -> list[CheckResult]:
         e = _rand_matrix(rng, *a.shape)
         e -= np.vdot(a, e) / frob**2 * a
         b = np.exp(-1j * theta) * (a / frob + 0.5 * e / np.linalg.norm(e))
-        tangent_out += _radial_interval(rectrange.norm_range_disc(a, b))[1] > frob + 1e-9
+        tangent_out += geometry.radial_interval(rectrange.norm_range_disc(a, b))[1] > frob + 1e-9
     results = [
         CheckResult(
             "prop5",
@@ -210,7 +201,7 @@ def suite_prop7(seed: int, tol: float = 1e-8) -> list[CheckResult]:
         region = projrange.vector_ellipse(vec)
         closed = region_support_curve(region, grid)
         swept = fov.fov_boundary(padded(vec), 720)
-        gap = max(support_gap(closed, swept), support_gap(swept, closed))
+        gap = _two_sided_gap(closed, swept)
         if gap > tol:
             gap_bad.append(f"case {i} (m={m}): gap={gap!r}")
 
@@ -218,15 +209,15 @@ def suite_prop7(seed: int, tol: float = 1e-8) -> list[CheckResult]:
     region0 = projrange.vector_ellipse(centred)
     curve0 = region_support_curve(region0, grid)
     swept0 = fov.fov_boundary(padded(centred), 720)
-    gap0 = max(support_gap(curve0, swept0), support_gap(swept0, curve0))
+    gap0 = _two_sided_gap(curve0, swept0)
     trailing = float(np.linalg.norm(centred[1:]))
-    radius0 = _radial_interval(region0)[1]
+    radius0 = geometry.radial_interval(region0)[1]
     conv_detail = (
         f"leading-zero column: disc radius {radius0!r} = {radius0 / trailing:.6f}"
         " * trailing norm (full-axis-length convention)"
     )
     results = [
-        CheckResult("prop7", "ellipse-matches-sweep", not gap_bad, "; ".join(gap_bad[:3])),
+        _check("prop7", "ellipse-matches-sweep", gap_bad),
         CheckResult("prop7", "leading-zero-convention", gap0 <= tol, conv_detail + f"; gap={gap0!r}"),
     ]
 
@@ -239,15 +230,10 @@ def suite_prop7(seed: int, tol: float = 1e-8) -> list[CheckResult]:
         lead, tail = complex(vec[0]), vec[1:]
         phase = tail[0] / abs(tail[0]) if tail[0] != 0 else 1.0
         two = np.array([[lead, 0.0], [np.linalg.norm(tail) * phase, 0.0]])
-        gap = max(
-            support_gap(fov.fov_boundary(two, 720), fov.fov_boundary(padded(vec), 720)),
-            support_gap(fov.fov_boundary(padded(vec), 720), fov.fov_boundary(two, 720)),
-        )
+        gap = _two_sided_gap(fov.fov_boundary(two, 720), fov.fov_boundary(padded(vec), 720))
         if gap > tol:
             reduction_bad.append(f"case {i}: gap={gap!r}")
-    results.append(
-        CheckResult("prop7", "two-by-two-reduction", not reduction_bad, "; ".join(reduction_bad[:3]))
-    )
+    results.append(_check("prop7", "two-by-two-reduction", reduction_bad))
     return results
 
 
@@ -284,8 +270,8 @@ def suite_prop8(seed: int, tol: float = 1e-8) -> list[CheckResult]:
             if not region_contains(geometry.ConvexBoundary(hi), complex(lam), tol):
                 spectrum_bad.append(f"case {i}: eigenvalue {lam!r} escapes")
     results = [
-        CheckResult("prop8", "lower-inside-higher", not inclusion_bad, "; ".join(inclusion_bad[:3])),
-        CheckResult("prop8", "top-block-spectrum-inside-higher", not spectrum_bad, "; ".join(spectrum_bad[:3])),
+        _check("prop8", "lower-inside-higher", inclusion_bad),
+        _check("prop8", "top-block-spectrum-inside-higher", spectrum_bad),
     ]
 
     a = _separated_matrix(np.random.default_rng(_child_seed(seed, 8, 100)), 5, 3)
@@ -326,9 +312,7 @@ def suite_prop8(seed: int, tol: float = 1e-8) -> list[CheckResult]:
         )
         if err > tol:
             axis_bad.append(f"case {i}: err={err!r}")
-    results.append(
-        CheckResult("prop8", "axis-projections-match-blocks", not axis_bad, "; ".join(axis_bad[:3]))
-    )
+    results.append(_check("prop8", "axis-projections-match-blocks", axis_bad))
 
     sim_bad = []
     for i in range(5):
@@ -341,12 +325,10 @@ def suite_prop8(seed: int, tol: float = 1e-8) -> list[CheckResult]:
         unitary = np.hstack([frame, comp])
         block = unitary.conj().T @ (a @ frame.conj().T) @ unitary
         alt = fov.fov_boundary(block, angles)
-        gap = max(support_gap(direct, alt), support_gap(alt, direct))
+        gap = _two_sided_gap(direct, alt)
         if gap > tol:
             sim_bad.append(f"case {i}: gap={gap!r}")
-    results.append(
-        CheckResult("prop8", "block-similarity-consistency", not sim_bad, "; ".join(sim_bad[:3]))
-    )
+    results.append(_check("prop8", "block-similarity-consistency", sim_bad))
     return results
 
 
@@ -440,7 +422,7 @@ def suite_prop12(seed: int, tol: float = 1e-8) -> list[CheckResult]:
             a = _separated_matrix(rng, m, n)
             prev = None
             for k in range(1, min(m, n) + 1):
-                cur = _radial_interval(rankk.rank_k_region(a, k).region)
+                cur = geometry.radial_interval(rankk.rank_k_region(a, k).region)
                 if prev is not None and cur is not None:
                     lo_p, hi_p = prev
                     lo_c, hi_c = cur
@@ -449,7 +431,7 @@ def suite_prop12(seed: int, tol: float = 1e-8) -> list[CheckResult]:
                 elif prev is None and cur is not None and k > 1:
                     bad.append(f"shape {(m, n)} rep {rep} k={k}: refilled after empty")
                 prev = cur
-    return [CheckResult("prop12", "regions-nest-downward", not bad, "; ".join(bad[:3]))]
+    return [_check("prop12", "regions-nest-downward", bad)]
 
 
 def suite_prop13(seed: int, tol: float = 1e-8) -> list[CheckResult]:
@@ -470,32 +452,29 @@ def suite_prop13(seed: int, tol: float = 1e-8) -> list[CheckResult]:
             eig_bad.append(f"case {i}")
         for k in range(1, q + 1):
             region = rankk.hermitian_rank_interval(block, k)
-            interval = _radial_interval_segment(region)
-            if interval is None or abs(interval[0] + sig[k - 1]) > 1e-9 or abs(
-                interval[1] - sig[k - 1]
-            ) > 1e-9:
+            if not isinstance(region, geometry.Segment) or (
+                abs(region.start + sig[k - 1]) > 1e-9 or abs(region.end - sig[k - 1]) > 1e-9
+            ):
                 interval_bad.append(f"case {i} k={k}: {region!r}")
     results = [
-        CheckResult("prop13", "block-eigenvalues-are-plus-minus-sigma", not eig_bad, "; ".join(eig_bad[:3])),
-        CheckResult("prop13", "hermitian-interval-is-sigma-k", not interval_bad, "; ".join(interval_bad[:3])),
+        _check("prop13", "block-eigenvalues-are-plus-minus-sigma", eig_bad),
+        _check("prop13", "hermitian-interval-is-sigma-k", interval_bad),
     ]
 
     a = _separated_matrix(np.random.default_rng(_child_seed(seed, 13, 1)), 4, 3)
-    base = [_radial_interval(rankk.rank_k_region(a, k).region) for k in range(1, 4)]
+    base = [geometry.radial_interval(rankk.rank_k_region(a, k).region) for k in range(1, 4)]
     invariance_bad = []
     for i in range(20):
         u = random_isometry(4, 4, seed=_child_seed(seed, 13, 10 + i))
         v = random_isometry(3, 3, seed=_child_seed(seed, 13, 40 + i))
         rotated = u.conj().T @ a @ v
         for k in range(1, 4):
-            got = _radial_interval(rankk.rank_k_region(rotated, k).region)
+            got = geometry.radial_interval(rankk.rank_k_region(rotated, k).region)
             if (got is None) != (base[k - 1] is None):
                 invariance_bad.append(f"rotation {i} k={k}")
             elif got is not None and np.max(np.abs(np.subtract(got, base[k - 1]))) > 1e-10:
                 invariance_bad.append(f"rotation {i} k={k}")
-    results.append(
-        CheckResult("prop13", "unitary-invariance-of-regions", not invariance_bad, "; ".join(invariance_bad[:3]))
-    )
+    results.append(_check("prop13", "unitary-invariance-of-regions", invariance_bad))
 
     circ_bad, bound_bad = [], []
     sig = svd(a).sigma
@@ -516,24 +495,9 @@ def suite_prop13(seed: int, tol: float = 1e-8) -> list[CheckResult]:
                 bound_bad.append(f"k={k}")
         else:
             circ_bad.append(f"k={k}: witness failed at boundary, residual={wit.residual!r}")
-    results.append(
-        CheckResult("prop13", "rotated-witness-same-residual", not circ_bad, "; ".join(circ_bad[:2]))
-    )
-    results.append(
-        CheckResult("prop13", "certified-values-obey-axis-bounds", not bound_bad, "; ".join(bound_bad[:2]))
-    )
+    results.append(_check("prop13", "rotated-witness-same-residual", circ_bad, shown=2))
+    results.append(_check("prop13", "certified-values-obey-axis-bounds", bound_bad, shown=2))
     return results
-
-
-def _radial_interval_segment(region) -> tuple[float, float] | None:
-    match region:
-        case geometry.Segment(a, b):
-            return (float(a.real), float(b.real))
-        case geometry.Point(z):
-            return (float(z.real), float(z.real))
-        case geometry.Empty():
-            return None
-    return None
 
 
 def suite_prop14(seed: int, tol: float = 1e-8) -> list[CheckResult]:
@@ -547,7 +511,7 @@ def suite_prop14(seed: int, tol: float = 1e-8) -> list[CheckResult]:
                 rk = rankk.rank_k_region(a, k)
                 if rk.regime != _expected_regime(m, n, k):
                     regime_bad.append(f"{(m, n)} rep {rep} k={k}: got {rk.regime}")
-                interval = _radial_interval(rk.region)
+                interval = geometry.radial_interval(rk.region)
                 if interval is None:
                     radii = [0.3 * sig[0], 0.8 * sig[0], 1.2 * sig[0] + 0.1]
                 else:
@@ -583,10 +547,10 @@ def suite_prop14(seed: int, tol: float = 1e-8) -> list[CheckResult]:
                         ):
                             axis_bad.append(f"{(m, n)} rep {rep} k={k} z={z!r}")
     return [
-        CheckResult("prop14", "regime-trichotomy", not regime_bad, "; ".join(regime_bad[:3])),
-        CheckResult("prop14", "region-matches-inequalities", not agree_bad, "; ".join(agree_bad[:3])),
-        CheckResult("prop14", "witness-agrees-with-formula", not witness_bad, "; ".join(witness_bad[:2])),
-        CheckResult("prop14", "certified-grid-obeys-axis-bounds", not axis_bad, "; ".join(axis_bad[:3])),
+        _check("prop14", "regime-trichotomy", regime_bad),
+        _check("prop14", "region-matches-inequalities", agree_bad),
+        _check("prop14", "witness-agrees-with-formula", witness_bad, shown=2),
+        _check("prop14", "certified-grid-obeys-axis-bounds", axis_bad),
     ]
 
 
@@ -601,7 +565,7 @@ def suite_prop16(seed: int, tol: float = 1e-8) -> list[CheckResult]:
             report = rankk.projector_intersection_check(a, k, 100, _child_seed(seed, 16, i, k))
             if not (report.sampled_bounds_hold and report.star_attains and report.outer_within_sampled):
                 bad.append(f"case {i} k={k}: {report}")
-    return [CheckResult("prop16", "projector-bounds-hold", not bad, "; ".join(bad[:2]))]
+    return [_check("prop16", "projector-bounds-hold", bad, shown=2)]
 
 
 SUITE_NAMES = {

@@ -185,6 +185,38 @@ class TestCompute:
         text = svg.read_text()
         assert text.startswith("<svg") and "<circle" in text
 
+    def test_wnorm_point_marker_stays_on_canvas(self, tmp_path):
+        # ||I/sqrt(2)||_F rounds to one, so the region is the point sqrt(2),
+        # beyond sigma_1 = 1: the canvas must reach it
+        a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+        save_matrix_json(a_path, np.eye(2))
+        save_matrix_json(b_path, np.eye(2) / np.sqrt(2))
+        out, svg = tmp_path / "r.json", tmp_path / "r.svg"
+        code = main(["compute", "--input", str(a_path), "--set", "wnorm", "--B", str(b_path),
+                     "--out", str(out), "--svg", str(svg)])
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["kind"] == "point"
+        # cross of half-width 4 centred at 400 + 400 / 1.1 px
+        assert ('<path d="M 759.636364 400.000000 L 767.636364 400.000000 '
+                'M 763.636364 396.000000 L 763.636364 404.000000"') in svg.read_text()
+
+    @pytest.mark.parametrize("set_name,flag", [("w", "--input"), ("wl", "--H"), ("wnorm", "--B")])
+    def test_unreadable_matrix_file_is_parse_error(self, tmp_path, wide_file, set_name, flag):
+        # a repeated --input replaces the first one
+        argv = ["compute", "--input", str(wide_file), "--set", set_name,
+                "--out", str(tmp_path / "r"), flag, str(tmp_path / "missing.json")]
+        assert main(argv) == EXIT_PARSE
+
+    def test_unused_matrix_files_are_not_read(self, tmp_path, wide_file):
+        missing = str(tmp_path / "missing.json")
+        out = str(tmp_path / "r.json")
+        code = main(["compute", "--input", str(wide_file), "--set", "w",
+                     "--H", missing, "--B", missing, "--out", out])
+        assert code == EXIT_OK
+        code = main(["compute", "--input", str(wide_file), "--set", "fov",
+                     "--H", missing, "--out", out])
+        assert code == EXIT_USAGE
+
     def test_round_trip_containment_consistency(self, tmp_path, wide_file):
         out = tmp_path / "r.json"
         main(["compute", "--input", str(wide_file), "--set", "w", "--out", str(out)])

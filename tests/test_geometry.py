@@ -16,6 +16,7 @@ from nrange.geometry import (
     curve_from_points,
     default_angles,
     normalize_region,
+    radial_interval,
     rebuild_support,
     region_contains,
     region_support_curve,
@@ -143,3 +144,49 @@ class TestEllipseSupport:
     def test_validation(self):
         with pytest.raises(ValueError, match="focal"):
             Ellipse(0j, 2 + 0j, 1.0)
+
+    def test_axes(self):
+        # foci 1 and 1 + 2i, focal sum 4: centre 1 + i, half axes 2 and sqrt(3)
+        centre, half_major, half_minor, axis = Ellipse(1 + 0j, 1 + 2j, 4.0).axes()
+        assert centre == 1 + 1j
+        assert (half_major, half_minor) == pytest.approx((2.0, np.sqrt(3.0)))
+        assert axis == pytest.approx(np.pi / 2)
+        assert Ellipse(2j, 2j, 3.0).axes() == (2j, 1.5, 1.5, 0.0)
+
+
+class TestRadialInterval:
+    @pytest.mark.parametrize(
+        "region,expected",
+        [
+            (Empty(), None),
+            (Point(3 - 4j), (5.0, 5.0)),
+            (Disc(0j, 1 / 3), (0.0, 1 / 3)),
+            (Disc(3 + 4j, 2.0), (3.0, 7.0)),
+            (Disc(3j, 4.0), (0.0, 7.0)),
+            (Circle(0j, 1 / 3), (1 / 3, 1 / 3)),
+            (Circle(3 + 4j, 2.0), (3.0, 7.0)),
+            (Circle(1j, 3.0), (2.0, 4.0)),
+            (Annulus(0j, 0.1, 1 / 3), (0.1, 1 / 3)),
+            (Annulus(0.5j, 1.0, 2.0), (0.5, 2.5)),
+            (Annulus(1.5j, 1.0, 2.0), (0.0, 3.5)),
+            (Annulus(-3j, 1.0, 2.0), (1.0, 5.0)),
+        ],
+        ids=lambda v: repr(v),
+    )
+    def test_nearest_and_farthest_distance(self, region, expected):
+        # exact: an origin-centred shape gives back its own radii
+        assert radial_interval(region) == expected
+
+    @pytest.mark.parametrize(
+        "region",
+        [
+            Segment(-1 + 0j, 1 + 0j),
+            Ellipse(0j, 1 + 0j, 2.0),
+            ConvexBoundary(region_support_curve(Disc(0j, 1.0), default_angles(8))),
+            1.0,
+        ],
+        ids=["Segment", "Ellipse", "ConvexBoundary", "float"],
+    )
+    def test_other_kinds_raise_type_error(self, region):
+        with pytest.raises(TypeError, match="radial interval"):
+            radial_interval(region)

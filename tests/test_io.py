@@ -105,6 +105,19 @@ REGIONS = [
     ConvexBoundary(region_support_curve(Disc(0j, 2.0), default_angles(16))),
 ]
 
+REGION_TEXTS = {
+    "Empty": '{"kind": "empty", "meta": {"set": "w"}}',
+    "Point": '{"kind": "point", "point": [1.25, -0.5], "meta": {"set": "w"}}',
+    "Segment": '{"kind": "segment", "start": [0.0, 0.0], "end": [2.0, 1.0], "meta": {"set": "w"}}',
+    "Disc": '{"kind": "disc", "center": [0.1, 0.2], "radius": 1.75, "meta": {"set": "w"}}',
+    "Circle": '{"kind": "circle", "center": [0.0, 0.0], "radius": 3.141592653589793, '
+              '"meta": {"set": "w"}}',
+    "Annulus": '{"kind": "annulus", "center": [0.0, 0.0], "inner": 0.5, "outer": 2.5, '
+               '"meta": {"set": "w"}}',
+    "Ellipse": '{"kind": "ellipse", "focus1": [0.0, 0.0], "focus2": [3.0, 0.0], '
+               '"major_axis_length": 5.0, "meta": {"set": "w"}}',
+}
+
 
 class TestRegionFiles:
     @pytest.mark.parametrize("region", REGIONS, ids=lambda r: type(r).__name__)
@@ -124,6 +137,18 @@ class TestRegionFiles:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             region_from_payload({"kind": "blob"})
+
+    @pytest.mark.parametrize("kind", [None, ["disc"], {"kind": "disc"}])
+    def test_missing_or_unhashable_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match="kind"):
+            region_from_payload({"kind": kind})
+
+    @pytest.mark.parametrize("region", REGIONS[:-1], ids=lambda r: type(r).__name__)
+    def test_exact_text_per_kind(self, region):
+        # key order and float text are the file format
+        text = json.dumps(region_to_payload(region, {"set": "w"}))
+        assert text == REGION_TEXTS[type(region).__name__]
+        assert region_from_payload(json.loads(text)) == (region, {"set": "w"})
 
     def test_payload_17_digit_floats(self):
         region = Disc(0j, 1.0 / 3.0)

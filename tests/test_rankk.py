@@ -273,6 +273,11 @@ class TestFindWitness:
         with pytest.raises(ValueError):
             find_witness(rand_complex(rng, 3, 2), 3, 0j, seed=0)
 
+    @pytest.mark.parametrize("z", [0.5, 5.0], ids=["member", "non-member"])
+    def test_rejects_negative_seed_before_searching(self, z):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            find_witness(np.eye(3), 1, z, seed=-1)
+
     def test_seed_determinism(self, rng):
         a = rand_complex(rng, 3, 3)
         w1 = find_witness(a, 2, 10.0, seed=9, restarts=3)
@@ -493,3 +498,35 @@ class TestStackedWitnessSearch:
         assert wit.restarts_used == 20
         assert len(calls) < 60
         assert len(calls) < 2 * two
+
+
+def ring_cases():
+    """Every proper ring (inner radius > 0) of 60 random matrices, seed 11."""
+    shapes = [(3, 3), (4, 3), (4, 4), (5, 4), (5, 5)]
+    rng = np.random.default_rng(11)
+    cases = []
+    for i in range(60):
+        a = rand_complex(rng, *shapes[i % len(shapes)])
+        for k in range(1, min(a.shape) + 1):
+            region = rank_k_region(a, k).region
+            if isinstance(region, Annulus):
+                cases.append((a, k, region))
+    return cases
+
+
+class TestRingInnerEdge:
+    @pytest.mark.parametrize("eps", [1e-8, 1e-9, 1e-10, 1e-11])
+    def test_thin_band_inside_the_inner_edge_certifies(self, eps):
+        # the start frame mixes the bracketing singular vectors to norm |z|
+        # exactly; snapping to a singular value within 1e-9 of |z| left most
+        # of these uncertified
+        cases = ring_cases()
+        assert len(cases) == 36
+        failed = []
+        for idx, (a, k, ring) in enumerate(cases):
+            z = (ring.inner + eps * (ring.outer - ring.inner)) * np.exp(1j * (0.3 + idx))
+            assert rank_k_contains(a, k, z)
+            wit = find_witness(a, k, z)
+            if wit.residual > 1e-8:
+                failed.append((idx, k, wit.residual))
+        assert not failed

@@ -20,7 +20,6 @@ def test_polyline_bytes_match_per_point_formatting(count):
         edge = 400.0 / canvas.scale
         zs[:3] = [complex(-edge - 1e-13, edge + 1e-13), complex(-0.0, -0.0), complex(-edge, 0.0)]
         assert "-0.000000" in f"{canvas.px(zs[0])[0]:.6f}"
-    for close, tag in ((True, "polygon"), (False, "polyline")):
-        canvas.polyline(np.array(zs, dtype=complex), 'stroke="#000000"', close=close)
-        expected = f'<{tag} points="{per_point_coords(canvas, zs)}" fill="none" stroke="#000000"/>'
-        assert canvas.parts[-1] == expected
+    canvas.polyline(np.array(zs, dtype=complex), 'stroke="#000000"')
+    expected = f'<polygon points="{per_point_coords(canvas, zs)}" fill="none" stroke="#000000"/>'
+    assert canvas.parts[-1] == expected
