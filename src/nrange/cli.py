@@ -36,7 +36,8 @@ EXIT_PARSE = 3
 EXIT_DOMAIN = 4
 EXIT_IO = 5
 
-_SETS = ("w", "fov", "wl", "wh", "phik", "wnorm")
+# every --set and the one optional flag it reads; it refuses the others
+_SETS = {"w": None, "fov": None, "wl": "--H", "wh": "--H", "phik": "--k", "wnorm": "--B"}
 
 
 def _resolve_seed(flag_value) -> int | None:
@@ -91,13 +92,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_compute(args) -> int:
     name = args.set_name
+    for flag, value in (("--k", args.k), ("--H", args.frame), ("--B", args.comparison)):
+        if value is not None and flag != _SETS[name]:
+            print(f"error: --set {name} does not take {flag}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         matrix = load_matrix(args.input)
         m, n = matrix.shape
         sigma = [float(s) for s in svd(matrix).sigma]
         meta = {"set": name, "sigma": sigma, "tool_version": __version__}
-        if args.k is not None:
-            meta["k"] = args.k
         if name == "w":
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -129,6 +132,7 @@ def _cmd_compute(args) -> int:
             if args.k < 1:
                 print("error: --k must be >= 1", file=sys.stderr)
                 return EXIT_USAGE
+            meta["k"] = args.k
             region = rank_k_region(matrix, args.k).region
         else:  # wnorm
             if args.comparison is None:

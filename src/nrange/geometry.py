@@ -250,23 +250,24 @@ def normalize_region(region: Region) -> Region:
             return region
 
 
+def _same_grid(angles: np.ndarray, grid: np.ndarray) -> bool:
+    return angles.shape == grid.shape and np.allclose(angles, grid, rtol=0.0, atol=1e-12)
+
+
 def support_gap(a: BoundaryCurve, b: BoundaryCurve) -> float:
     """Largest excess of a's support over b's on their shared angle grid.
 
     Nonpositive means the set behind ``a`` is contained in the one behind
     ``b``.  Raises when the grids differ.
     """
-    if a.angles.shape != b.angles.shape or not np.allclose(
-        a.angles, b.angles, rtol=0.0, atol=1e-12
-    ):
+    if not _same_grid(a.angles, b.angles):
         raise ValueError("curves must share one angle grid")
     return float(np.max(a.support - b.support))
 
 
 def rebuild_support(curve: BoundaryCurve) -> np.ndarray:
     """Support values recomputed from the stored boundary points alone."""
-    phase = np.exp(-1j * curve.angles)
-    return np.max(np.real(phase[:, None] * curve.points[None, :]), axis=1)
+    return curve_from_points(curve.points, curve.angles).support
 
 
 def convexity_defect(curve: BoundaryCurve) -> float:
@@ -307,9 +308,7 @@ def region_support_curve(region: Region, angles) -> BoundaryCurve:
             points = centre + np.exp(1j * axis) * local
             return BoundaryCurve(grid, support, points)
         case ConvexBoundary(curve):
-            if curve.angles.shape == grid.shape and np.allclose(
-                curve.angles, grid, rtol=0.0, atol=1e-12
-            ):
+            if _same_grid(curve.angles, grid):
                 return curve
             return curve_from_points(curve.points, grid)
         case _:

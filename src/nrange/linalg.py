@@ -125,13 +125,13 @@ def isometry_defect(h) -> float:
     return float(np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[1])))
 
 
-def require_isometry(h, tol: float = 1e-10) -> np.ndarray:
-    """Validate orthonormal columns and return the frame as an ndarray."""
+def require_isometry(h) -> np.ndarray:
+    """Validate orthonormal columns, to an ``isometry_defect`` of 1e-10, and return the frame."""
     arr = as_matrix(h)
     if arr.shape[0] < arr.shape[1]:
         raise ValueError("an isometry cannot have more columns than rows")
     defect = isometry_defect(arr)
-    if defect > tol:
+    if defect > 1e-10:
         raise ValueError(f"columns are not orthonormal (defect {defect:.3g})")
     return arr
 

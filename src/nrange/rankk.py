@@ -75,13 +75,13 @@ def rank_k_region(a, k: int) -> RankKRegion:
     return RankKRegion(k, "empty", Empty())
 
 
-def rank_k_contains(a, k: int, z, tol: float = 1e-12) -> bool:
+def rank_k_contains(a, k: int, z) -> bool:
     """Membership through the singular-value interlacing inequalities.
 
     |z| must stay below the top k singular values and, when 2k exceeds both
     dimensions, above the shifted tail family; indices beyond min(m, n) read
-    as zero.  The tolerance matches ``region_contains`` at 1e-12 so the two
-    routes agree on boundaries.
+    as zero.  Every inequality has a slack of 1e-12, the tolerance ``verify``
+    passes to ``region_contains``, so the two routes agree on boundaries.
     """
     arr = as_matrix(a)
     m, n = arr.shape
@@ -96,10 +96,10 @@ def rank_k_contains(a, k: int, z, tol: float = 1e-12) -> bool:
 
     r = abs(complex(z))
     for i in range(1, k + 1):
-        if r > sv(i) + tol:
+        if r > sv(i) + 1e-12:
             return False
     for i in range(1, min(2 * k - m, 2 * k - n) + 1):
-        if r < sv(i + m + n - 2 * k) - tol:
+        if r < sv(i + m + n - 2 * k) - 1e-12:
             return False
     return True
 
@@ -310,15 +310,11 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
         raise ValueError("max_iter must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    z = complex(z)
-    if m < n:
+    value = z = complex(z)
+    wide = m < n
+    if wide:
         # Work on the adjoint so the exact step sees the taller side.
-        flipped = find_witness(arr.conj().T, k, z.conjugate(), seed=seed,
-                               restarts=restarts, max_iter=max_iter, tol=tol)
-        return WitnessPair(left=flipped.right, right=flipped.left, value=z,
-                           residual=flipped.residual,
-                           restarts_used=flipped.restarts_used,
-                           iterations=flipped.iterations)
+        arr, z, m, n = arr.conj().T, z.conjugate(), n, m
     _, sig, vh = np.linalg.svd(arr, full_matrices=False)
     # no image A N or A* M of a k-column isometry exceeds sqrt(k) ||A||_2 in
     # Frobenius norm; the factor 2 absorbs rounding
@@ -334,7 +330,9 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
         hit = res <= tol
         pick = int(np.argmax(hit)) if hit.any() else int(np.argmin(res))
         used = pick + 1 if hit[pick] else restarts
-    return WitnessPair(left=left[pick], right=right[pick], value=z,
+    if wide:
+        left, right = right, left
+    return WitnessPair(left=left[pick], right=right[pick], value=value,
                        residual=float(res[pick]), restarts_used=used,
                        iterations=int(iterations[pick]))
 

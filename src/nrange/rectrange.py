@@ -154,13 +154,25 @@ def compression_radius(a, left, right) -> float:
     return sigma_max(lf.conj().T @ arr @ rf)
 
 
+def _norm_discs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centres and radii of the norm-range discs of a against a stack b, shape (R, m, n).
+
+    Centre <a, b> / ||b||_F**2, radius ||a - centre b||_F sqrt(1 - ||b||_F^-2).
+    A comparison within 1e-12 of unit norm counts as exactly unit, so
+    rounding a normalized b cannot flip the result between a point and a rejection.
+    """
+    nb = np.linalg.norm(b, axis=(1, 2))
+    # one product per comparison: a disc's bits do not depend on the stack
+    centre = (b.reshape(len(b), 1, -1).conj() @ a.reshape(-1, 1))[:, 0, 0] / nb**2
+    slack = np.where(np.abs(nb - 1.0) <= 1e-12, 0.0, 1.0 - 1.0 / nb**2)
+    residual = np.linalg.norm(a - centre[:, None, None] * b, axis=(1, 2))
+    return centre, residual * np.sqrt(np.maximum(slack, 0.0))
+
+
 def norm_range_disc(a, b) -> Region:
     """Disc of the norm-based range of a against a fixed comparison b.
 
-    Centre <a, b> / ||b||_F**2, radius ||a - centre b||_F sqrt(1 - ||b||_F^-2).
-    Requires ||b||_F >= 1; a comparison within 1e-12 of unit norm counts as
-    exactly unit, so the rounding of a normalized b cannot flip the result
-    between a point and a rejection.
+    Requires ||b||_F >= 1 - 1e-12; the disc is ``_norm_discs`` of b alone.
     """
     am, bm = as_matrix(a), as_matrix(b)
     if am.shape != bm.shape:
@@ -168,10 +180,8 @@ def norm_range_disc(a, b) -> Region:
     nb = float(np.linalg.norm(bm))
     if nb < 1.0 - 1e-12:
         raise NormHypothesisError(f"the norm range needs ||B||_F >= 1, got {nb:.6g}")
-    centre = frobenius_inner(am, bm) / nb**2
-    slack = 0.0 if abs(nb - 1.0) <= 1e-12 else 1.0 - 1.0 / nb**2
-    radius = float(np.linalg.norm(am - centre * bm)) * float(np.sqrt(max(slack, 0.0)))
-    return normalize_region(Disc(centre, radius))
+    (centre,), (radius,) = _norm_discs(am, bm[None])
+    return normalize_region(Disc(complex(centre), float(radius)))
 
 
 @dataclass(frozen=True)
@@ -195,8 +205,8 @@ def norm_range_union(a, n_samples: int, seed: int) -> NormRangeUnionReport:
     The draws are three calls on one generator: the real parts of all G,
     then their imaginary parts, then all the scales; a seed therefore samples
     other comparisons than versions that drew G and s one sample at a time.
-    Every disc is the one ``norm_range_disc`` gives, computed for the whole
-    stack at once, so memory grows as n_samples * m * n.
+    Every disc is ``norm_range_disc``'s, from one ``_norm_discs`` call on the
+    whole stack, so memory grows as n_samples * m * n.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -212,12 +222,8 @@ def norm_range_union(a, n_samples: int, seed: int) -> NormRangeUnionReport:
     if frob > 0.0:
         phases = np.exp(-1j * default_angles(32)) / frob
         b = np.concatenate([b, phases[:, None, None] * arr])
-    # norm_range_disc on every comparison, including its unit-norm rule
-    nb = np.linalg.norm(b, axis=(1, 2))
-    centre = (b.reshape(len(b), -1).conj() @ arr.ravel()) / nb**2
-    slack = np.where(np.abs(nb - 1.0) <= 1e-12, 0.0, 1.0 - 1.0 / nb**2)
-    residual = np.linalg.norm(arr - centre[:, None, None] * b, axis=(1, 2))
-    reach = np.abs(centre) + residual * np.sqrt(np.maximum(slack, 0.0))
+    centre, radius = _norm_discs(arr, b)
+    reach = np.abs(centre) + radius
     return NormRangeUnionReport(
         n_samples=n_samples,
         n_discs=len(b),

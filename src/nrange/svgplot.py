@@ -37,7 +37,7 @@ class _Canvas:
         self.scale = _HALF / (1.1 * max(outer_radius, 1e-12))
         self.parts: list[str] = []
 
-    def px(self, z: complex) -> tuple[float, float]:
+    def px(self, z):  # one complex number, or an array of them
         return _HALF + z.real * self.scale, _HALF - z.imag * self.scale
 
     def line(self, za: complex, zb: complex, style: str) -> None:
@@ -57,7 +57,7 @@ class _Canvas:
     def polyline(self, zs, style: str) -> None:
         """Closed outline through the points, drawn as an SVG polygon."""
         zs = np.asarray(zs, dtype=complex)
-        xy = np.column_stack([_HALF + zs.real * self.scale, _HALF - zs.imag * self.scale])
+        xy = np.column_stack(self.px(zs))
         # _fmt's digits; at six decimals only a whole token reads "-0.000000"
         coords = (" ".join(["%.6f,%.6f"] * len(xy)) % tuple(xy.ravel().tolist())
                   ).replace("-0.000000", "0.000000")

@@ -1,8 +1,10 @@
 """Named verification suites pairing every closed form with its oracle.
 
-Each suite returns a list of :class:`CheckResult`; the CLI prints them as a
-pass/fail table.  Library calls go through the module objects so a test can
-substitute a single function and watch the matching suite fail.
+Each suite returns its failure lists by check name, in check order, and an
+empty list passes.  ``run_suite`` alone builds the :class:`CheckResult` rows,
+under the suite's ``SUITE_NAMES`` key, for the CLI's pass/fail table.
+Library calls go through the module objects so a test can substitute a
+single function and watch the matching suite fail.
 """
 
 from __future__ import annotations
@@ -35,26 +37,28 @@ def _rand_matrix(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
 
 
-def _separated_matrix(rng, m: int, n: int, rel_gap: float = 0.05, tries: int = 64) -> np.ndarray:
+def _separated_matrix(rng, m: int, n: int) -> np.ndarray:
     """Random matrix whose singular values are pairwise separated.
 
-    Conditioning keeps the power-iteration oracle fast and the membership
-    grids away from regime boundaries; resampling is deterministic per rng.
+    Every gap, and the smallest singular value, is at least 0.05 sigma_1;
+    after 64 resamples the last draw is returned as is.  Conditioning keeps
+    the power-iteration oracle fast and the membership grids away from
+    regime boundaries; resampling is deterministic per rng.
     """
     arr = _rand_matrix(rng, m, n)
-    for _ in range(tries):
+    for _ in range(64):
         sig = svd(arr).sigma
         gaps = np.diff(-sig)  # descending -> nonnegative
-        floor = rel_gap * sig[0]
+        floor = 0.05 * sig[0]
         if sig[-1] >= floor and (len(sig) == 1 or np.min(gaps) >= floor):
             return arr
         arr = _rand_matrix(rng, m, n)
     return arr
 
 
-def _check(suite: str, name: str, bad: list[str], shown: int = 3) -> CheckResult:
-    """Passes when no failure was collected; the detail joins the first ``shown``."""
-    return CheckResult(suite, name, not bad, "; ".join(bad[:shown]))
+def _unless(ok, detail: str) -> list[str]:
+    """The failure list of a check with one verdict: empty when ``ok`` holds."""
+    return [] if ok else [detail]
 
 
 def _two_sided_gap(a, b) -> float:
@@ -70,7 +74,7 @@ def _matrix_repr(a: np.ndarray) -> str:
 # prop1: the disc of radius sigma_1 against power iteration and sampling
 
 
-def suite_prop1(seed: int, tol: float = 1e-8) -> list[CheckResult]:
+def suite_prop1(seed: int, tol: float = 1e-8) -> dict[str, list[str]]:
     rng = np.random.default_rng(seed)
     cases: list[tuple[str, np.ndarray]] = [("reference-wide", WIDE_EXAMPLE)]
     # Sampling sup only separates from the 0.97 window on the smallest
@@ -105,19 +109,19 @@ def suite_prop1(seed: int, tol: float = 1e-8) -> list[CheckResult]:
         if idx < len(cases) and report.sup_abs < 0.97 * top:
             window_bad.append(f"{label}: sup={report.sup_abs!r} top={top!r}")
 
-    return [
-        _check("prop1", "radius-matches-power-iteration", radius_bad),
-        _check("prop1", "boundary-witness-attains-radius", witness_bad),
-        _check("prop1", "sampling-never-exceeds-radius", upper_bad),
-        _check("prop1", "sampling-sup-reaches-0.97-radius", window_bad),
-    ]
+    return {
+        "radius-matches-power-iteration": radius_bad,
+        "boundary-witness-attains-radius": witness_bad,
+        "sampling-never-exceeds-radius": upper_bad,
+        "sampling-sup-reaches-0.97-radius": window_bad,
+    }
 
 
 # ---------------------------------------------------------------------------
 # prop5: norm-range discs fill the Frobenius disc; centre bound
 
 
-def suite_prop5(seed: int, tol: float = 1e-8) -> list[CheckResult]:
+def suite_prop5(seed: int, tol: float = 1e-8) -> dict[str, list[str]]:
     a = WIDE_EXAMPLE
     frob_sq_expected = 98.25
     report = rectrange.norm_range_union(a, 2000, _child_seed(seed, 5))
@@ -134,30 +138,8 @@ def suite_prop5(seed: int, tol: float = 1e-8) -> list[CheckResult]:
         e -= np.vdot(a, e) / frob**2 * a
         b = np.exp(-1j * theta) * (a / frob + 0.5 * e / np.linalg.norm(e))
         tangent_out += geometry.radial_interval(rectrange.norm_range_disc(a, b))[1] > frob + 1e-9
-    results = [
-        CheckResult(
-            "prop5",
-            "frobenius-radius-from-entries",
-            abs(report.frobenius_radius**2 - frob_sq_expected) <= 1e-9,
-            f"radius^2={report.frobenius_radius**2!r}",
-        ),
-        CheckResult(
-            "prop5",
-            "disc-union-stays-inside",
-            report.containment_violations == 0 and tangent_out == 0,
-            f"violations={report.containment_violations} of {report.n_discs}; "
-            f"tangent discs outside: {tangent_out} of {len(tangent)}",
-        ),
-        CheckResult(
-            "prop5",
-            "sup-attains-frobenius-radius",
-            abs(report.sup_abs - report.frobenius_radius) <= 1e-9,
-            f"sup={report.sup_abs!r}",
-        ),
-    ]
     rng = np.random.default_rng(_child_seed(seed, 6))
-    held = 0
-    bad = []
+    held, bad = 0, []
     for i in range(500):
         b = _rand_matrix(rng, *a.shape)
         if rng.uniform() < 0.5:
@@ -169,25 +151,33 @@ def suite_prop5(seed: int, tol: float = 1e-8) -> list[CheckResult]:
             held += 1
             if not flags.bound_holds:
                 bad.append(f"case {i}: {_matrix_repr(b)}")
-    results.append(
-        CheckResult(
-            "prop5",
-            "centre-bound-under-hypothesis",
-            held > 0 and not bad,
-            f"hypothesis held {held}/500; " + "; ".join(bad[:2]),
-        )
-    )
-    return results
+    return {
+        "frobenius-radius-from-entries": _unless(
+            abs(report.frobenius_radius**2 - frob_sq_expected) <= 1e-9,
+            f"radius^2={report.frobenius_radius**2!r}",
+        ),
+        "disc-union-stays-inside": _unless(
+            report.containment_violations == 0 and tangent_out == 0,
+            f"violations={report.containment_violations} of {report.n_discs}; "
+            f"tangent discs outside: {tangent_out} of {len(tangent)}",
+        ),
+        "sup-attains-frobenius-radius": _unless(
+            abs(report.sup_abs - report.frobenius_radius) <= 1e-9, f"sup={report.sup_abs!r}"
+        ),
+        "centre-bound-under-hypothesis": _unless(
+            held > 0 and not bad, f"hypothesis held {held}/500; " + "; ".join(bad[:2])
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
 # prop7: single-column regions against the sweep
 
 
-def suite_prop7(seed: int, tol: float = 1e-8) -> list[CheckResult]:
+def suite_prop7(seed: int, tol: float = 1e-8) -> dict[str, list[str]]:
     rng = np.random.default_rng(seed)
     grid = default_angles(720)
-    gap_bad, conv_detail = [], ""
+    gap_bad = []
 
     def padded(vec):
         m = len(vec)
@@ -198,28 +188,10 @@ def suite_prop7(seed: int, tol: float = 1e-8) -> list[CheckResult]:
     for i in range(20):
         m = 2 + i % 5
         vec = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        region = projrange.vector_ellipse(vec)
-        closed = region_support_curve(region, grid)
-        swept = fov.fov_boundary(padded(vec), 720)
-        gap = _two_sided_gap(closed, swept)
+        closed = region_support_curve(projrange.vector_ellipse(vec), grid)
+        gap = _two_sided_gap(closed, fov.fov_boundary(padded(vec), 720))
         if gap > tol:
             gap_bad.append(f"case {i} (m={m}): gap={gap!r}")
-
-    centred = np.array([0.0, 1.1 - 0.3j, 0.4j, -0.7])
-    region0 = projrange.vector_ellipse(centred)
-    curve0 = region_support_curve(region0, grid)
-    swept0 = fov.fov_boundary(padded(centred), 720)
-    gap0 = _two_sided_gap(curve0, swept0)
-    trailing = float(np.linalg.norm(centred[1:]))
-    radius0 = geometry.radial_interval(region0)[1]
-    conv_detail = (
-        f"leading-zero column: disc radius {radius0!r} = {radius0 / trailing:.6f}"
-        " * trailing norm (full-axis-length convention)"
-    )
-    results = [
-        _check("prop7", "ellipse-matches-sweep", gap_bad),
-        CheckResult("prop7", "leading-zero-convention", gap0 <= tol, conv_detail + f"; gap={gap0!r}"),
-    ]
 
     reduction_bad = []
     for i in range(10):
@@ -233,15 +205,30 @@ def suite_prop7(seed: int, tol: float = 1e-8) -> list[CheckResult]:
         gap = _two_sided_gap(fov.fov_boundary(two, 720), fov.fov_boundary(padded(vec), 720))
         if gap > tol:
             reduction_bad.append(f"case {i}: gap={gap!r}")
-    results.append(_check("prop7", "two-by-two-reduction", reduction_bad))
-    return results
+
+    centred = np.array([0.0, 1.1 - 0.3j, 0.4j, -0.7])
+    region0 = projrange.vector_ellipse(centred)
+    gap0 = _two_sided_gap(
+        region_support_curve(region0, grid), fov.fov_boundary(padded(centred), 720)
+    )
+    trailing = float(np.linalg.norm(centred[1:]))
+    radius0 = geometry.radial_interval(region0)[1]
+    return {
+        "ellipse-matches-sweep": gap_bad,
+        "leading-zero-convention": _unless(
+            gap0 <= tol,
+            f"leading-zero column: disc radius {radius0!r} = {radius0 / trailing:.6f}"
+            f" * trailing norm (full-axis-length convention); gap={gap0!r}",
+        ),
+        "two-by-two-reduction": reduction_bad,
+    }
 
 
 # ---------------------------------------------------------------------------
 # prop8: lower inside higher, spectra, axis projections
 
 
-def suite_prop8(seed: int, tol: float = 1e-8) -> list[CheckResult]:
+def suite_prop8(seed: int, tol: float = 1e-8) -> dict[str, list[str]]:
     rng = np.random.default_rng(seed)
     angles = 360
     inclusion_bad, spectrum_bad = [], []
@@ -269,14 +256,10 @@ def suite_prop8(seed: int, tol: float = 1e-8) -> list[CheckResult]:
         for lam in eigs:
             if not region_contains(geometry.ConvexBoundary(hi), complex(lam), tol):
                 spectrum_bad.append(f"case {i}: eigenvalue {lam!r} escapes")
-    results = [
-        _check("prop8", "lower-inside-higher", inclusion_bad),
-        _check("prop8", "top-block-spectrum-inside-higher", spectrum_bad),
-    ]
 
     a = _separated_matrix(np.random.default_rng(_child_seed(seed, 8, 100)), 5, 3)
     top = float(svd(a).sigma[0])
-    over, attained = [], False
+    over = []
     for i in range(100):
         frame = random_isometry(5, 3, seed=_child_seed(seed, 8, 200 + i))
         curve = projrange.lower_range(projrange.ProjectorSetting(a, frame), 64)
@@ -286,14 +269,6 @@ def suite_prop8(seed: int, tol: float = 1e-8) -> list[CheckResult]:
     best_frame = dec[0][:, :3] @ dec[2]
     best_curve = projrange.lower_range(projrange.ProjectorSetting(a, best_frame), 64)
     attained = abs(float(best_curve.support[0]) - top) <= 1e-9
-    results.append(
-        CheckResult(
-            "prop8",
-            "union-of-lower-ranges-fills-disc",
-            not over and attained,
-            f"overshoots={len(over)}; attained={attained}",
-        )
-    )
 
     axis_bad = []
     for i in range(10):
@@ -312,7 +287,6 @@ def suite_prop8(seed: int, tol: float = 1e-8) -> list[CheckResult]:
         )
         if err > tol:
             axis_bad.append(f"case {i}: err={err!r}")
-    results.append(_check("prop8", "axis-projections-match-blocks", axis_bad))
 
     sim_bad = []
     for i in range(5):
@@ -328,18 +302,24 @@ def suite_prop8(seed: int, tol: float = 1e-8) -> list[CheckResult]:
         gap = _two_sided_gap(direct, alt)
         if gap > tol:
             sim_bad.append(f"case {i}: gap={gap!r}")
-    results.append(_check("prop8", "block-similarity-consistency", sim_bad))
-    return results
+    return {
+        "lower-inside-higher": inclusion_bad,
+        "top-block-spectrum-inside-higher": spectrum_bad,
+        "union-of-lower-ranges-fills-disc": _unless(
+            not over and attained, f"overshoots={len(over)}; attained={attained}"
+        ),
+        "axis-projections-match-blocks": axis_bad,
+        "block-similarity-consistency": sim_bad,
+    }
 
 
 # ---------------------------------------------------------------------------
 # prop9: corner transfer from the higher to the lower range
 
 
-def suite_prop9(seed: int, tol: float = 1e-8) -> list[CheckResult]:
+def suite_prop9(seed: int, tol: float = 1e-8) -> dict[str, list[str]]:
     rng = np.random.default_rng(seed)
-    transfer_bad = []
-    empty_reports = 0
+    transfer_bad, empty_reports = [], 0
     for i in range(10):
         n = 3 + i % 3
         m = n + 1 + i % 2
@@ -360,42 +340,25 @@ def suite_prop9(seed: int, tol: float = 1e-8) -> list[CheckResult]:
         for entry in report:
             if not (entry.in_spectrum and entry.sharp_in_lower):
                 transfer_bad.append(f"case {i}: corner {entry.location!r} -> {entry}")
-    results = [
-        CheckResult(
-            "prop9",
-            "corners-transfer-to-lower-range",
-            not transfer_bad and empty_reports == 0,
-            "; ".join(transfer_bad[:3]) + (f"; empty reports={empty_reports}" if empty_reports else ""),
-        )
-    ]
 
     setting = projrange.ProjectorSetting(TALL_EXAMPLE, TALL_EXAMPLE_FRAME)
-    lo_curve = projrange.lower_range(setting, 720)
-    hi_curve = projrange.higher_range(setting, 720)
-    lo_sharp = fov.sharp_points(lo_curve)
-    hi_sharp = fov.sharp_points(hi_curve)
-    corner = 5j
-    lo_hit = min((abs(s.location - corner) for s in lo_sharp), default=np.inf)
-    hi_hit = min((abs(s.location - corner) for s in hi_sharp), default=np.inf)
+    lo_hit, hi_hit = (
+        min((abs(s.location - 5j) for s in fov.sharp_points(curve)), default=np.inf)
+        for curve in (projrange.lower_range(setting, 720), projrange.higher_range(setting, 720))
+    )
     eigs = np.sort_complex(np.linalg.eigvals(TALL_EXAMPLE_FRAME.conj().T @ TALL_EXAMPLE))
     expected = np.sort_complex(np.array([0.0, 0.0, 5j]))
-    results.extend(
-        [
-            CheckResult(
-                "prop9", "reference-corner-sharp-in-lower", lo_hit <= 1e-6, f"distance={lo_hit!r}"
-            ),
-            CheckResult(
-                "prop9", "reference-corner-absent-in-higher", hi_hit > 1e-3, f"distance={hi_hit!r}"
-            ),
-            CheckResult(
-                "prop9",
-                "reference-compression-spectrum",
-                bool(np.max(np.abs(eigs - expected)) <= 1e-10),
-                f"eigs={eigs!r}",
-            ),
-        ]
-    )
-    return results
+    return {
+        "corners-transfer-to-lower-range": _unless(
+            not transfer_bad and empty_reports == 0,
+            "; ".join(transfer_bad[:3]) + (f"; empty reports={empty_reports}" if empty_reports else ""),
+        ),
+        "reference-corner-sharp-in-lower": _unless(lo_hit <= 1e-6, f"distance={lo_hit!r}"),
+        "reference-corner-absent-in-higher": _unless(hi_hit > 1e-3, f"distance={hi_hit!r}"),
+        "reference-compression-spectrum": _unless(
+            np.max(np.abs(eigs - expected)) <= 1e-10, f"eigs={eigs!r}"
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +377,7 @@ def _expected_regime(m: int, n: int, k: int) -> str:
     return "empty"
 
 
-def suite_prop12(seed: int, tol: float = 1e-8) -> list[CheckResult]:
+def suite_prop12(seed: int, tol: float = 1e-8) -> dict[str, list[str]]:
     bad = []
     for s_idx, (m, n) in enumerate(_SHAPES):
         rng = np.random.default_rng(_child_seed(seed, 12, s_idx))
@@ -431,10 +394,10 @@ def suite_prop12(seed: int, tol: float = 1e-8) -> list[CheckResult]:
                 elif prev is None and cur is not None and k > 1:
                     bad.append(f"shape {(m, n)} rep {rep} k={k}: refilled after empty")
                 prev = cur
-    return [_check("prop12", "regions-nest-downward", bad)]
+    return {"regions-nest-downward": bad}
 
 
-def suite_prop13(seed: int, tol: float = 1e-8) -> list[CheckResult]:
+def suite_prop13(seed: int, tol: float = 1e-8) -> dict[str, list[str]]:
     rng = np.random.default_rng(seed)
     eig_bad, interval_bad = [], []
     for i in range(10):
@@ -456,10 +419,6 @@ def suite_prop13(seed: int, tol: float = 1e-8) -> list[CheckResult]:
                 abs(region.start + sig[k - 1]) > 1e-9 or abs(region.end - sig[k - 1]) > 1e-9
             ):
                 interval_bad.append(f"case {i} k={k}: {region!r}")
-    results = [
-        _check("prop13", "block-eigenvalues-are-plus-minus-sigma", eig_bad),
-        _check("prop13", "hermitian-interval-is-sigma-k", interval_bad),
-    ]
 
     a = _separated_matrix(np.random.default_rng(_child_seed(seed, 13, 1)), 4, 3)
     base = [geometry.radial_interval(rankk.rank_k_region(a, k).region) for k in range(1, 4)]
@@ -474,7 +433,6 @@ def suite_prop13(seed: int, tol: float = 1e-8) -> list[CheckResult]:
                 invariance_bad.append(f"rotation {i} k={k}")
             elif got is not None and np.max(np.abs(np.subtract(got, base[k - 1]))) > 1e-10:
                 invariance_bad.append(f"rotation {i} k={k}")
-    results.append(_check("prop13", "unitary-invariance-of-regions", invariance_bad))
 
     circ_bad, bound_bad = [], []
     sig = svd(a).sigma
@@ -495,12 +453,16 @@ def suite_prop13(seed: int, tol: float = 1e-8) -> list[CheckResult]:
                 bound_bad.append(f"k={k}")
         else:
             circ_bad.append(f"k={k}: witness failed at boundary, residual={wit.residual!r}")
-    results.append(_check("prop13", "rotated-witness-same-residual", circ_bad, shown=2))
-    results.append(_check("prop13", "certified-values-obey-axis-bounds", bound_bad, shown=2))
-    return results
+    return {
+        "block-eigenvalues-are-plus-minus-sigma": eig_bad,
+        "hermitian-interval-is-sigma-k": interval_bad,
+        "unitary-invariance-of-regions": invariance_bad,
+        "rotated-witness-same-residual": circ_bad,
+        "certified-values-obey-axis-bounds": bound_bad,
+    }
 
 
-def suite_prop14(seed: int, tol: float = 1e-8) -> list[CheckResult]:
+def suite_prop14(seed: int, tol: float = 1e-8) -> dict[str, list[str]]:
     regime_bad, agree_bad, witness_bad, axis_bad = [], [], [], []
     for s_idx, (m, n) in enumerate(_SHAPES):
         rng = np.random.default_rng(_child_seed(seed, 14, s_idx))
@@ -546,15 +508,15 @@ def suite_prop14(seed: int, tol: float = 1e-8) -> list[CheckResult]:
                             abs(z.real) > sig[k - 1] + 1e-9 or abs(z.imag) > sig[k - 1] + 1e-9
                         ):
                             axis_bad.append(f"{(m, n)} rep {rep} k={k} z={z!r}")
-    return [
-        _check("prop14", "regime-trichotomy", regime_bad),
-        _check("prop14", "region-matches-inequalities", agree_bad),
-        _check("prop14", "witness-agrees-with-formula", witness_bad, shown=2),
-        _check("prop14", "certified-grid-obeys-axis-bounds", axis_bad),
-    ]
+    return {
+        "regime-trichotomy": regime_bad,
+        "region-matches-inequalities": agree_bad,
+        "witness-agrees-with-formula": witness_bad[:2],  # each entry prints the matrix
+        "certified-grid-obeys-axis-bounds": axis_bad,
+    }
 
 
-def suite_prop16(seed: int, tol: float = 1e-8) -> list[CheckResult]:
+def suite_prop16(seed: int, tol: float = 1e-8) -> dict[str, list[str]]:
     rng = np.random.default_rng(seed)
     bad = []
     for i in range(10):
@@ -565,7 +527,7 @@ def suite_prop16(seed: int, tol: float = 1e-8) -> list[CheckResult]:
             report = rankk.projector_intersection_check(a, k, 100, _child_seed(seed, 16, i, k))
             if not (report.sampled_bounds_hold and report.star_attains and report.outer_within_sampled):
                 bad.append(f"case {i} k={k}: {report}")
-    return [_check("prop16", "projector-bounds-hold", bad, shown=2)]
+    return {"projector-bounds-hold": bad[:2]}
 
 
 SUITE_NAMES = {
@@ -582,15 +544,16 @@ SUITE_NAMES = {
 
 
 def run_suite(name: str, seed: int, tol: float = 1e-8) -> list[CheckResult]:
+    """One row per check; a failing row's detail joins its first three failures."""
     try:
         func = SUITE_NAMES[name]
     except KeyError:
         raise ValueError(f"unknown suite: {name!r}") from None
-    return func(seed, tol)
+    return [
+        CheckResult(name, check, not bad, "; ".join(bad[:3]))
+        for check, bad in func(seed, tol).items()
+    ]
 
 
 def run_suites(names, seed: int, tol: float = 1e-8) -> list[CheckResult]:
-    results = []
-    for name in names:
-        results.extend(run_suite(name, seed, tol))
-    return results
+    return [result for name in names for result in run_suite(name, seed, tol)]

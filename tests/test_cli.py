@@ -212,10 +212,29 @@ class TestCompute:
         out = str(tmp_path / "r.json")
         code = main(["compute", "--input", str(wide_file), "--set", "w",
                      "--H", missing, "--B", missing, "--out", out])
-        assert code == EXIT_OK
+        assert code == EXIT_USAGE
         code = main(["compute", "--input", str(wide_file), "--set", "fov",
                      "--H", missing, "--out", out])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("set_name,flag", [
+        ("w", "--k"), ("w", "--H"), ("w", "--B"), ("fov", "--k"), ("fov", "--B"),
+        ("wl", "--k"), ("wh", "--B"), ("phik", "--H"), ("phik", "--B"),
+        ("wnorm", "--k"), ("wnorm", "--H"),
+    ])
+    def test_flag_the_set_does_not_read_is_usage_error(
+        self, tmp_path, capsys, wide_file, set_name, flag
+    ):
+        # phik and wnorm get their own flag too, so only the stray one can be
+        # the reason; the stray matrix files do not exist
+        own = {"phik": ["--k", "1"], "wnorm": ["--B", str(wide_file)]}.get(set_name, [])
+        value = "2" if flag == "--k" else str(tmp_path / "missing.json")
+        out = tmp_path / "r.json"
+        code = main(["compute", "--input", str(wide_file), "--set", set_name, *own,
+                     flag, value, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+        assert f"--set {set_name} does not take {flag}" in capsys.readouterr().err
 
     def test_round_trip_containment_consistency(self, tmp_path, wide_file):
         out = tmp_path / "r.json"

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import rand_complex, rand_unit
-from nrange.geometry import Circle, Disc, Point, default_angles
+from nrange.geometry import Circle, Disc, Point, default_angles, normalize_region
 from nrange.linalg import random_isometry, sigma_max, svd
 from nrange.oracles import mc_rect_sup
 from nrange.rectrange import (
     NormHypothesisError,
+    _norm_discs,
     boundary_witness,
     center_bound_check,
     compression_radius,
@@ -259,6 +260,30 @@ class TestNormRange:
             assert report.containment_violations == sum(r > frob + 1e-9 for r in reach)
             assert report.frobenius_radius == frob
             assert abs(report.sup_abs - max(reach)) <= 1e-15 * max(reach)
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (4, 1), (2, 3), (3, 3), (8, 7)])
+    def test_disc_is_bit_identical_to_the_union_disc(self, rng, m, n):
+        # the comparisons in norm_range_union's documented draw order
+        a = rand_complex(rng, m, n)
+        frob = float(np.linalg.norm(a))
+        for seed in (0, 3, 11):
+            draws = np.random.default_rng(seed)
+            shape = (200, m, n)
+            g = draws.standard_normal(shape) + 1j * draws.standard_normal(shape)
+            scale = draws.uniform(1.0, 3.0, 200)
+            b = g / np.linalg.norm(g, axis=(1, 2))[:, None, None] * scale[:, None, None]
+            phases = np.exp(-1j * default_angles(32)) / frob
+            b = np.concatenate([b, phases[:, None, None] * a])
+            discs = [norm_range_disc(a, bi) for bi in b]
+            centres, radii = _norm_discs(a, b)
+            for disc, c, r in zip(discs, centres, radii):
+                assert disc == normalize_region(Disc(complex(c), float(r)))
+            # |centre| + radius as one array pass, the way the union forms it
+            parts = [(d.center, d.radius) if isinstance(d, Disc) else (d.z, 0.0) for d in discs]
+            reach = np.abs([c for c, _ in parts]) + [r for _, r in parts]
+            report = norm_range_union(a, 200, seed)
+            assert report.sup_abs == reach.max()
+            assert report.containment_violations == np.count_nonzero(reach > frob + 1e-9)
 
     def test_union_containment_across_random_matrices(self, rng):
         for trial in range(20):

@@ -38,6 +38,65 @@ class TestBaseline:
         assert main(["verify", "--suite", "prop9", "--seed", "1"]) == EXIT_CHECK_FAILED
 
 
+# every check of run_suites(all), in order; a suite labels its own checks
+ALL_CHECKS = [
+    ("prop1", "radius-matches-power-iteration"),
+    ("prop1", "boundary-witness-attains-radius"),
+    ("prop1", "sampling-never-exceeds-radius"),
+    ("prop1", "sampling-sup-reaches-0.97-radius"),
+    ("prop5", "frobenius-radius-from-entries"),
+    ("prop5", "disc-union-stays-inside"),
+    ("prop5", "sup-attains-frobenius-radius"),
+    ("prop5", "centre-bound-under-hypothesis"),
+    ("prop7", "ellipse-matches-sweep"),
+    ("prop7", "leading-zero-convention"),
+    ("prop7", "two-by-two-reduction"),
+    ("prop8", "lower-inside-higher"),
+    ("prop8", "top-block-spectrum-inside-higher"),
+    ("prop8", "union-of-lower-ranges-fills-disc"),
+    ("prop8", "axis-projections-match-blocks"),
+    ("prop8", "block-similarity-consistency"),
+    ("prop9", "corners-transfer-to-lower-range"),
+    ("prop9", "reference-corner-sharp-in-lower"),
+    ("prop9", "reference-corner-absent-in-higher"),
+    ("prop9", "reference-compression-spectrum"),
+    ("prop12", "regions-nest-downward"),
+    ("prop13", "block-eigenvalues-are-plus-minus-sigma"),
+    ("prop13", "hermitian-interval-is-sigma-k"),
+    ("prop13", "unitary-invariance-of-regions"),
+    ("prop13", "rotated-witness-same-residual"),
+    ("prop13", "certified-values-obey-axis-bounds"),
+    ("prop14", "regime-trichotomy"),
+    ("prop14", "region-matches-inequalities"),
+    ("prop14", "witness-agrees-with-formula"),
+    ("prop14", "certified-grid-obeys-axis-bounds"),
+    ("prop16", "projector-bounds-hold"),
+]
+
+
+@pytest.fixture(scope="module")
+def all_results_seed2():
+    return run_suites(list(SUITE_NAMES), seed=2)
+
+
+class TestResultRows:
+    def test_checks_are_the_frozen_list(self, all_results_seed2):
+        assert [(r.suite, r.name) for r in all_results_seed2] == ALL_CHECKS
+
+    def test_passing_checks_carry_no_detail(self, all_results_seed2):
+        assert [r for r in all_results_seed2 if r.passed and r.detail] == []
+
+    def test_suites_return_failure_lists_by_check_name(self):
+        checks = SUITE_NAMES["prop12"](1)
+        assert checks == {"regions-nest-downward": []}
+
+    def test_cli_reports_the_one_red_check_on_stderr(self, capsys):
+        assert main(["verify", "--suite", "prop9", "--seed", "1"]) == EXIT_CHECK_FAILED
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("failed: prop9/reference-corner-sharp-in-lower: distance=3.17")
+
+
 def perturb_range_disc(monkeypatch):
     original = rectrange.range_disc
 
