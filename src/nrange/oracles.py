@@ -10,9 +10,11 @@ and neither overflows, subnormal entries included, so squared magnitudes stay
 in range at any finite scale; a result beyond the float range comes back as
 inf.
 
-The samplers draw from ``numpy.random.default_rng(seed)`` in a fixed order:
-every real part of the x block, then every imaginary part, then the same two
-blocks for y (``mc_rect_sup`` only).  Each sample is a Gaussian vector
+The samplers draw from ``numpy.random.default_rng(seed)`` in blocks of
+10,000 samples, so memory stays flat in the sample count, in a fixed order
+per block: every real part of its x vectors, then every imaginary part, then
+the same two for y (``mc_rect_sup`` only); a call's first k * 10,000 samples
+are the k * 10,000-sample call's.  Each sample is a Gaussian vector
 direction, that is a uniform unit vector once normalised; the normalisation
 is applied to the sampled products, N scalars, rather than to the N vectors.
 """
@@ -25,6 +27,10 @@ from typing import Optional
 import numpy as np
 
 __all__ = ["McReport", "mc_fov_samples", "mc_rect_sup", "power_sigma_max"]
+
+# samples drawn and reduced at a time: it bounds a call's memory, and a call
+# of up to 10,000 samples (the regression fixture's count) is one block
+_BLOCK = 10_000
 
 
 @dataclass(frozen=True)
@@ -73,38 +79,51 @@ def _sample_forms(
     """Sample y* A x (x* A x when ``quadratic``) in real arithmetic.
 
     ``arr`` is A times 2**-exp.  The rows of A x are the one real block
-    product [x_re | x_im] [[T_re, T_im], [-T_im, T_re]] with T = A^T.  Only
-    the N forms are divided by |x| |y|, and the square root is taken once,
-    at the largest squared modulus.
+    product [x_re | x_im] [[T_re, T_im], [-T_im, T_re]] with T = A^T.  Each
+    block of ``_BLOCK`` samples draws x as ``(2, b, n)`` normals, real parts
+    first, then y alike.  Only the forms are divided by |x| |y|, and the
+    square root is taken once, at the largest squared modulus of all blocks.
     """
+    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
+        raise TypeError(f"n_samples must be an integer, got {type(n_samples).__name__}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     m, n = arr.shape
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((2, n_samples, n))
-    y = x if quadratic else rng.standard_normal((2, n_samples, m))
     t = arr.T
-    ax = np.concatenate((x[0], x[1]), axis=1) @ np.block([[t.real, t.imag], [-t.imag, t.real]])
-    ax_re, ax_im = ax[:, :m], ax[:, m:]
-    re = np.einsum("ij,ij->i", y[0], ax_re) + np.einsum("ij,ij->i", y[1], ax_im)
-    im = np.einsum("ij,ij->i", y[0], ax_im) - np.einsum("ij,ij->i", y[1], ax_re)
-    norm_sq = np.einsum("kij,kij->i", x, x)
-    norm_sq = norm_sq * norm_sq if quadratic else norm_sq * np.einsum("kij,kij->i", y, y)
-    norm_sq[norm_sq == 0] = 1.0
-    sup_abs = float(_unscaled(np.sqrt(np.max((re * re + im * im) / norm_sq)), exp))
-    points = None
-    if keep_points:
-        inv = 1.0 / np.sqrt(norm_sq)
-        points = np.empty(n_samples, dtype=complex)
-        points.real, points.imag = _unscaled(re * inv, exp), _unscaled(im * inv, exp)
+    op = np.block([[t.real, t.imag], [-t.imag, t.real]])
+    points = np.empty(n_samples, dtype=complex) if keep_points else None
+    peaks = []
+    for lo in range(0, n_samples, _BLOCK):
+        b = min(_BLOCK, n_samples - lo)
+        x = rng.standard_normal((2, b, n))
+        y = x if quadratic else rng.standard_normal((2, b, m))
+        ax = np.concatenate((x[0], x[1]), axis=1) @ op
+        ax_re, ax_im = ax[:, :m], ax[:, m:]
+        re = np.einsum("ij,ij->i", y[0], ax_re) + np.einsum("ij,ij->i", y[1], ax_im)
+        im = np.einsum("ij,ij->i", y[0], ax_im) - np.einsum("ij,ij->i", y[1], ax_re)
+        norm_sq = np.einsum("kij,kij->i", x, x)
+        norm_sq = norm_sq * norm_sq if quadratic else norm_sq * np.einsum("kij,kij->i", y, y)
+        norm_sq[norm_sq == 0] = 1.0
+        peaks.append(np.max((re * re + im * im) / norm_sq))
+        if keep_points:
+            inv = 1.0 / np.sqrt(norm_sq)
+            points.real[lo:lo + b] = _unscaled(re * inv, exp)
+            points.imag[lo:lo + b] = _unscaled(im * inv, exp)
+    # np.max, unlike max(), carries a NaN peak through to sup_abs
+    sup_abs = float(_unscaled(np.sqrt(np.max(peaks)), exp))
     return McReport(n_samples=n_samples, sup_abs=sup_abs, seed=seed, points=points)
 
 
 def mc_rect_sup(a, n_samples: int, seed: int, keep_points: bool = False) -> McReport:
     """Sample y* A x over independent uniform unit pairs (x, y).
 
-    Draw order is x real parts, x imaginary parts, y real parts, y imaginary
-    parts, so reports are stable regression fixtures for a given seed.
+    Each block of 10,000 samples draws x real parts, x imaginary parts, y
+    real parts, y imaginary parts, so reports are stable regression fixtures
+    for a given seed; a call's first k * 10,000 points are the
+    k * 10,000-sample call's.
     """
     arr, exp = _scaled(a)
     return _sample_forms(arr, exp, n_samples, seed, quadratic=False, keep_points=keep_points)
@@ -113,7 +132,9 @@ def mc_rect_sup(a, n_samples: int, seed: int, keep_points: bool = False) -> McRe
 def mc_fov_samples(a, n_samples: int, seed: int) -> McReport:
     """Sample the quadratic form x* A x over uniform unit vectors.
 
-    Draw order is x real parts, then x imaginary parts; every point is kept.
+    Each block of 10,000 samples draws x real parts, then x imaginary parts;
+    a call's first k * 10,000 points are the k * 10,000-sample call's, and
+    every point is kept.
     """
     arr, exp = _scaled(a)
     if np.ndim(a) != 2 or arr.shape[0] != arr.shape[1]:
@@ -134,6 +155,8 @@ def power_sigma_max(a, n_iters: int, seed: int) -> float:
     arr, exp = _scaled(a)
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     m, n = arr.shape
     gram = arr.conj().T @ arr if n <= m else arr @ arr.conj().T
     dim = gram.shape[0]

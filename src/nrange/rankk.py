@@ -373,6 +373,8 @@ def projector_intersection_check(a, k: int, n_trials: int, seed: int) -> Project
         raise ValueError(f"need 1 <= k <= min(m, n) = {min(m, n)}, got {k}")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     u_full, sig, vh_full = np.linalg.svd(arr, full_matrices=True)
     sigma_k = float(sig[k - 1])
     right_dim = n - k + 1

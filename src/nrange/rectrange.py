@@ -210,6 +210,8 @@ def norm_range_union(a, n_samples: int, seed: int) -> NormRangeUnionReport:
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     arr = as_matrix(a)
     rng = np.random.default_rng(seed)
     frob = float(np.linalg.norm(arr))

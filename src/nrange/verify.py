@@ -549,6 +549,8 @@ def run_suite(name: str, seed: int, tol: float = 1e-8) -> list[CheckResult]:
         func = SUITE_NAMES[name]
     except KeyError:
         raise ValueError(f"unknown suite: {name!r}") from None
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     return [
         CheckResult(name, check, not bad, "; ".join(bad[:3]))
         for check, bad in func(seed, tol).items()

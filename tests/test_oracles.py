@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,14 @@ from conftest import rand_complex, rand_unit
 from nrange import oracles
 from nrange.linalg import svd
 from nrange.oracles import mc_fov_samples, mc_rect_sup, power_sigma_max
+from nrange.rankk import projector_intersection_check
+from nrange.rectrange import norm_range_union
 from nrange.reference import WIDE_EXAMPLE
 
 # pinned on the first run; guards the draw order and the generator choice
 REFERENCE_MC_FIXTURE = 8.520645192941
+# the documented sampling block
+BLOCK = 10_000
 
 
 class TestMcRectSup:
@@ -90,8 +95,9 @@ class TestPowerSigmaMax:
         assert abs(estimate - top) <= 1e-8 * top
 
 
-def _reference_forms(a, n_samples, seed, quadratic):
-    """Draw order as documented; each row normalised before the product.
+def _reference_forms(a, n_samples, seed, quadratic, block):
+    """Draw order as documented, one block of ``block`` samples at a time;
+    each row normalised before the product.
 
     Runs in extended precision, so the comparison bounds the sampler's own
     rounding rather than the sum of two double-precision roundings.
@@ -99,15 +105,19 @@ def _reference_forms(a, n_samples, seed, quadratic):
     wide = np.asarray(a, dtype=complex).astype(np.clongdouble)
     rng = np.random.default_rng(seed)
 
-    def unit_rows(dim):
-        re = rng.standard_normal((n_samples, dim)).astype(np.longdouble)
-        im = rng.standard_normal((n_samples, dim)).astype(np.longdouble)
+    def unit_rows(count, dim):
+        re = rng.standard_normal((count, dim)).astype(np.longdouble)
+        im = rng.standard_normal((count, dim)).astype(np.longdouble)
         norms = np.sqrt(np.sum(re * re + im * im, axis=1, keepdims=True))
         return (re + 1j * im) / norms
 
-    xs = unit_rows(wide.shape[1])
-    ys = xs if quadratic else unit_rows(wide.shape[0])
-    return np.sum(ys.conj() * (xs @ wide.T), axis=1)
+    forms = []
+    for lo in range(0, n_samples, block):
+        count = min(block, n_samples - lo)
+        xs = unit_rows(count, wide.shape[1])
+        ys = xs if quadratic else unit_rows(count, wide.shape[0])
+        forms.append(np.sum(ys.conj() * (xs @ wide.T), axis=1))
+    return np.concatenate(forms)
 
 
 def _sample(a, n_samples, seed, quadratic):
@@ -116,27 +126,56 @@ def _sample(a, n_samples, seed, quadratic):
     return mc_rect_sup(a, n_samples, seed, keep_points=True)
 
 
-EQUIVALENCE_CASES = [((1, 1), False), ((1, 5), False), ((5, 1), False), ((2, 3), False),
-                     ((8, 7), False), ((1, 1), True), ((3, 3), True), ((6, 6), True)]
+# (shape, quadratic, samples); 25,000 samples are two full blocks and a
+# partial one
+EQUIVALENCE_CASES = [((1, 1), False, 5000), ((1, 5), False, 5000), ((5, 1), False, 5000),
+                     ((2, 3), False, 5000), ((8, 7), False, 5000), ((1, 1), True, 5000),
+                     ((3, 3), True, 5000), ((6, 6), True, 5000),
+                     ((8, 7), False, 25_000), ((6, 6), True, 25_000)]
 
 
 class TestSamplerEquivalence:
-    @pytest.mark.parametrize("shape, quadratic", EQUIVALENCE_CASES,
-                             ids=[f"{'fov' if q else 'rect'}-{m}x{n}"
-                                  for (m, n), q in EQUIVALENCE_CASES])
+    @pytest.mark.parametrize("shape, quadratic, n_samples", EQUIVALENCE_CASES,
+                             ids=[f"{'fov' if q else 'rect'}-{m}x{n}" + (f"-{k}" if k != 5000 else "")
+                                  for (m, n), q, k in EQUIVALENCE_CASES])
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_matches_normalised_rows(self, shape, quadratic, seed):
+    def test_matches_normalised_rows(self, shape, quadratic, n_samples, seed):
         a = rand_complex(np.random.default_rng(seed + 100), *shape)
-        expected = _reference_forms(a, 5000, seed, quadratic)
-        report = _sample(a, 5000, seed, quadratic)
+        expected = _reference_forms(a, n_samples, seed, quadratic, BLOCK)
+        report = _sample(a, n_samples, seed, quadratic)
         assert np.max(np.abs(report.points - expected)) <= 1e-15 * np.abs(a).max()
         top = np.max(np.abs(expected))
         assert abs(report.sup_abs - top) <= 1e-15 * top
+
+    @pytest.mark.parametrize("quadratic", [False, True], ids=["rect", "fov"])
+    def test_first_block_is_the_one_block_call(self, quadratic):
+        a = rand_complex(np.random.default_rng(9), 6, 6 if quadratic else 5)
+        long = _sample(a, 25_000, 3, quadratic)
+        short = _sample(a, BLOCK, 3, quadratic)
+        assert np.array_equal(long.points[:BLOCK], short.points)
 
     def test_points_kept_only_on_request(self):
         report = mc_rect_sup(WIDE_EXAMPLE, 100, 0)
         assert report.points is None
         assert report.sup_abs == mc_rect_sup(WIDE_EXAMPLE, 100, 0, keep_points=True).sup_abs
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampler_memory_is_flat_in_the_sample_count():
+    a = rand_complex(np.random.default_rng(6), 8, 7)
+    mc_rect_sup(a, 100, 0)  # first-call allocations stay out of the peaks
+    peak_100k = _peak_bytes(lambda: mc_rect_sup(a, 100_000, 1))
+    peak_300k = _peak_bytes(lambda: mc_rect_sup(a, 300_000, 1))
+    assert peak_300k <= 1.1 * peak_100k
+    assert max(peak_100k, peak_300k) <= 12e6
 
 
 class TestSamplerScale:
@@ -194,6 +233,35 @@ HOSTILE = [
 def test_hostile_matrix_raises(oracle, matrix, message):
     with pytest.raises(ValueError, match=message):
         oracle(matrix, 10, 0)
+
+
+SQUARE = rand_complex(np.random.default_rng(3), 3, 3)
+SEEDED_CALLS = {
+    "mc_rect_sup": lambda count, seed: mc_rect_sup(SQUARE, count, seed),
+    "mc_fov_samples": lambda count, seed: mc_fov_samples(SQUARE, count, seed),
+    "power_sigma_max": lambda count, seed: power_sigma_max(SQUARE, count, seed),
+    "projector_intersection_check":
+        lambda count, seed: projector_intersection_check(SQUARE, 2, count, seed),
+    "norm_range_union": lambda count, seed: norm_range_union(SQUARE, count, seed),
+}
+BAD_COUNTS = [(True, TypeError, "n_samples must be an integer, got bool"),
+              (np.True_, TypeError, "n_samples must be an integer, got bool"),
+              (2.5, TypeError, "n_samples must be an integer, got float"),
+              (10.0, TypeError, "n_samples must be an integer, got float"),
+              (0, ValueError, "n_samples must be >= 1"),
+              (-3, ValueError, "n_samples must be >= 1")]
+HOSTILE_ARGUMENTS = (
+    [(name, count, 0, error, message) for name in ("mc_rect_sup", "mc_fov_samples")
+     for count, error, message in BAD_COUNTS]
+    + [(name, 10, -1, ValueError, "seed must be non-negative, got -1") for name in SEEDED_CALLS])
+
+
+@pytest.mark.parametrize("name, count, seed, error, message", HOSTILE_ARGUMENTS,
+                         ids=[f"{name}-seed={seed}" if seed < 0 else f"{name}-n_samples={count!r}"
+                              for name, count, seed, _, _ in HOSTILE_ARGUMENTS])
+def test_hostile_count_or_seed_raises(name, count, seed, error, message):
+    with pytest.raises(error, match=message):
+        SEEDED_CALLS[name](count, seed)
 
 
 def test_oracles_import_nothing_from_region_modules():

@@ -33,6 +33,10 @@ class TestBaseline:
         with pytest.raises(ValueError, match="unknown"):
             run_suite("prop2", seed=0)
 
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            run_suites(list(SUITE_NAMES), seed=-1)
+
     def test_cli_exit_codes(self):
         assert main(["verify", "--suite", "prop12", "--seed", "1"]) == EXIT_OK
         assert main(["verify", "--suite", "prop9", "--seed", "1"]) == EXIT_CHECK_FAILED
