@@ -19,6 +19,7 @@ __all__ = [
     "isometry_defect",
     "random_isometries",
     "random_isometry",
+    "require_ints",
     "require_isometry",
     "sigma_max",
     "svd",
@@ -123,6 +124,13 @@ def isometry_defect(h) -> float:
     """Frobenius distance of h* h from the identity."""
     arr = np.asarray(h, dtype=complex)
     return float(np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[1])))
+
+
+def require_ints(**values) -> None:
+    """Raise TypeError for any keyword value that is not an integer; bools are refused."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
 
 
 def require_isometry(h) -> np.ndarray:

@@ -73,6 +73,13 @@ def _unscaled(x, exp: int):
         return np.ldexp(x, exp)
 
 
+def _require_ints(**values) -> None:
+    """Raise TypeError for any keyword value that is not an integer; bools are refused."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+
+
 def _sample_forms(
     arr: np.ndarray, exp: int, n_samples: int, seed: int, quadratic: bool, keep_points: bool
 ) -> McReport:
@@ -84,8 +91,7 @@ def _sample_forms(
     first, then y alike.  Only the forms are divided by |x| |y|, and the
     square root is taken once, at the largest squared modulus of all blocks.
     """
-    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
-        raise TypeError(f"n_samples must be an integer, got {type(n_samples).__name__}")
+    _require_ints(n_samples=n_samples, seed=seed)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if seed < 0:
@@ -153,6 +159,7 @@ def power_sigma_max(a, n_iters: int, seed: int) -> float:
     is inf.
     """
     arr, exp = _scaled(a)
+    _require_ints(n_iters=n_iters, seed=seed)
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
     if seed < 0:

@@ -11,12 +11,13 @@ individual values with an explicit isometry pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Annulus, Disc, Empty, Point, Region, Segment, normalize_region
-from .linalg import as_matrix, hermitian_eigen, random_isometries, svd
+from .linalg import as_matrix, hermitian_eigen, random_isometries, require_ints, svd
 
 __all__ = [
     "ProjectorBoundReport",
@@ -222,7 +223,12 @@ def _initial_right_frame(sig, v, m: int, n: int, k: int, z: complex) -> np.ndarr
             hi, lo = available[0], available[-1]
             sa, sp = float(sig[hi]), float(sig[lo])
             if sa > sp:
-                c2 = np.clip((r * r - sp * sp) / (sa * sa - sp * sp), 0.0, 1.0)
+                # |z|, sig_lo and sig_hi over the power of two just above
+                # sig_hi: exact, so c^2 is the plain formula's wherever its
+                # squares fit, and no square overflows at any scale
+                e = -math.frexp(sa)[1]
+                ra, rp, rz = math.ldexp(sa, e), math.ldexp(sp, e), math.ldexp(r, e)
+                c2 = np.clip((rz * rz - rp * rp) / (ra * ra - rp * rp), 0.0, 1.0)
                 cols.append(np.sqrt(c2) * v[:, hi] + np.sqrt(1.0 - c2) * v[:, lo])
                 available = available[1:-1]
                 continue
@@ -237,53 +243,69 @@ def _initial_right_frame(sig, v, m: int, n: int, k: int, z: complex) -> np.ndarr
     return frame
 
 
-def _descend(arr, z, right, near_origin, max_iter, tol):
-    """Block-coordinate descent on the witness residual from a stack of starts.
+def _descend(arr, z, start, more, near_origin, max_iter, tol):
+    """Block-coordinate descent on the witness residual, all restarts in one stack.
 
-    ``right`` holds R start frames, shape (R, n, k).  A row stops once its
-    best residual reaches ``tol`` or it fails to improve three times in a
-    row; finished rows leave the stack, so each half-step is one SVD of the
-    rows still running.  Rows never interact.  Returns the best left and
-    right frames, residual and number of iterations of every row.
+    Row 0 starts from the frame ``start``, shape (n, k), and runs its first
+    pass alone.  Unless that pass certifies, ``more()`` (when given) supplies
+    the start frames of rows 1..R-1, shape (R - 1, n, k), which join the
+    stack at row 0's second pass, so they run one pass behind it.  A row
+    stops once its best residual reaches ``tol``, after ``max_iter`` passes
+    of its own, or when three passes in a row fail to lower its best
+    residual by a relative 1e-12.  The relative rule leaves the search
+    exactly invariant under power-of-two scaling, and stops rows whose only
+    gains are rounding noise.  Finished rows leave the stack, so each
+    half-step is one SVD of the rows still running.  Rows never interact.
+    Returns the best left and right frames, residual and number of passes
+    of every row, in row order.
     """
-    rows = len(right)
+    right, active = start[None], np.zeros(1, dtype=int)
     best_left = best_right = None
     best_res, stall = np.inf, 0
-    active = np.arange(rows)
     finished = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, max_iter + 2):  # row 0's pass it, the joined rows' pass it - 1
         left = _frames(arr @ right, z, near_origin)
         res = _fro(_minus_identity(left.conj().swapaxes(1, 2) @ arr @ right, z))
-        better = res < best_res - 1e-15
+        better = res < best_res * (1.0 - 1e-12)
         if np.count_nonzero(better) == len(better):
             best_left, best_right, best_res = left, right, res
             stall = np.zeros(len(res), dtype=int)
-            done = res <= tol
         else:
-            if best_left is None:  # non-finite residuals on the first pass
+            # a row's first pass sets its frames even when its residual is not finite
+            if best_left is None:
                 best_left, best_right = left, right
-            pick = better[:, None, None]
+            pick = (better | (active > 0) if it == 2 else better)[:, None, None]
             best_left = np.where(pick, left, best_left)
             best_right = np.where(pick, right, best_right)
             best_res = np.where(better, res, best_res)
             stall = np.where(better, 0, stall + 1)
-            done = (best_res <= tol) | (stall >= 3)
+        joining = more() if more is not None and best_res[0] > tol else None
+        more = None
+        done = (best_res <= tol) | (stall >= 3)
+        if it >= max_iter:
+            done |= (active == 0) | (it > max_iter)
         finished_now = np.count_nonzero(done)
-        if finished_now == len(done):
+        if finished_now == len(done) and joining is None:
+            finished.append((active, best_left, best_right, best_res, it - (active > 0)))
             break
         if finished_now:
-            finished.append((active[done], best_left[done], best_right[done], best_res[done], it))
+            rows = active[done]
+            finished.append((rows, best_left[done], best_right[done], best_res[done], it - (rows > 0)))
             keep = ~done
-            active, left, best_left, best_right = active[keep], left[keep], best_left[keep], best_right[keep]
-            best_res, stall = best_res[keep], stall[keep]
-        right = _frames(arr.conj().T @ left, z.conjugate(), near_origin)
-    finished.append((active, best_left, best_right, best_res, it))
+            active, left, best_left, best_right, best_res, stall = (
+                part[keep] for part in (active, left, best_left, best_right, best_res, stall))
+        right = _frames(arr.conj().T @ left, z.conjugate(), near_origin) if len(left) else right[:0]
+        if joining is not None:
+            count, _, k = joining.shape
+            fresh = (np.arange(1, count + 1), joining, np.empty((count, arr.shape[0], k), dtype=complex),
+                     joining, np.full(count, np.inf), np.zeros(count, dtype=int))
+            active, right, best_left, best_right, best_res, stall = (
+                np.concatenate(pair) for pair in zip(
+                    (active, right, best_left, best_right, best_res, stall), fresh))
     if len(finished) == 1:
-        return best_left, best_right, best_res, np.full(rows, it)
+        return finished[0][1:]
     order = np.argsort(np.concatenate([part[0] for part in finished]))
-    left, right, res = (np.concatenate([part[j] for part in finished])[order] for j in (1, 2, 3))
-    iterations = np.concatenate([np.full(len(part[0]), part[4]) for part in finished])[order]
-    return left, right, res, iterations
+    return tuple(np.concatenate([part[j] for part in finished])[order] for j in (1, 2, 3, 4))
 
 
 def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
@@ -294,14 +316,18 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
     half-step solves the one-sided isometry subproblem exactly whenever it is
     feasible and otherwise falls back to the phase-steered polar update.
     Restart 0 starts from (possibly mixed) singular-vector frames and runs
-    alone; only if it does not certify do the other restarts, from the
-    frames ``random_isometries(min(m, n), k, restarts - 1, (seed, 1))``,
-    run together as one stack.  Returns the first certifying restart in
-    index order, else the lowest-index best pair; a residual at or below
-    ``tol`` certifies the value, anything else is inconclusive.
+    its first pass alone, so a member certified there costs no other
+    restart.  Otherwise restart 0 continues in one stack with the other
+    restarts, from the frames ``random_isometries(min(m, n), k, restarts - 1,
+    (seed, 1))``.  A restart stops at ``tol``, at ``max_iter`` passes, or
+    after three passes that each lower its best residual by no more than a
+    relative 1e-12.  Returns the first certifying restart in index order,
+    else the lowest-index best pair; a residual at or below ``tol``
+    certifies the value, anything else is inconclusive.
     """
     arr = as_matrix(a)
     m, n = arr.shape
+    require_ints(restarts=restarts, max_iter=max_iter, seed=seed)
     if not 1 <= k <= min(m, n):
         raise ValueError(f"need 1 <= k <= min(m, n) = {min(m, n)}, got {k}")
     if restarts < 1:
@@ -320,16 +346,13 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
     # Frobenius norm; the factor 2 absorbs rounding
     near_origin = abs(z) <= 2e-14 * max(1.0, k ** 0.5 * float(sig[0]))
     start = _initial_right_frame(sig, vh.conj().T, m, n, k, z)
-    left, right, res, iterations = _descend(arr, z, start[None], near_origin, max_iter, tol)
-    pick, used = 0, 1
-    if res[0] > tol and restarts > 1:
-        starts = random_isometries(n, k, restarts - 1, (seed, 1))
-        more = _descend(arr, z, starts, near_origin, max_iter, tol)
-        left, right, res, iterations = (
-            np.concatenate(pair) for pair in zip((left, right, res, iterations), more))
+    more = (lambda: random_isometries(n, k, restarts - 1, (seed, 1))) if restarts > 1 else None
+    left, right, res, iterations = _descend(arr, z, start, more, near_origin, max_iter, tol)
+    pick = 0
+    if len(res) > 1:
         hit = res <= tol
         pick = int(np.argmax(hit)) if hit.any() else int(np.argmin(res))
-        used = pick + 1 if hit[pick] else restarts
+    used = pick + 1 if res[pick] <= tol else restarts
     if wide:
         left, right = right, left
     return WitnessPair(left=left[pick], right=right[pick], value=value,
@@ -369,6 +392,7 @@ def projector_intersection_check(a, k: int, n_trials: int, seed: int) -> Project
     """
     arr = as_matrix(a)
     m, n = arr.shape
+    require_ints(n_trials=n_trials, seed=seed)
     if not 1 <= k <= min(m, n):
         raise ValueError(f"need 1 <= k <= min(m, n) = {min(m, n)}, got {k}")
     if n_trials < 1:

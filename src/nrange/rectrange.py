@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import Circle, Disc, Region, default_angles, normalize_region
-from .linalg import as_matrix, frobenius_inner, require_isometry, sigma_max, svd
+from .linalg import as_matrix, frobenius_inner, require_ints, require_isometry, sigma_max, svd
 
 __all__ = [
     "CenterBound",
@@ -208,6 +208,7 @@ def norm_range_union(a, n_samples: int, seed: int) -> NormRangeUnionReport:
     Every disc is ``norm_range_disc``'s, from one ``_norm_discs`` call on the
     whole stack, so memory grows as n_samples * m * n.
     """
+    require_ints(n_samples=n_samples, seed=seed)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if seed < 0:

@@ -244,6 +244,9 @@ SEEDED_CALLS = {
         lambda count, seed: projector_intersection_check(SQUARE, 2, count, seed),
     "norm_range_union": lambda count, seed: norm_range_union(SQUARE, count, seed),
 }
+COUNT_NAMES = {"mc_rect_sup": "n_samples", "mc_fov_samples": "n_samples",
+               "power_sigma_max": "n_iters", "projector_intersection_check": "n_trials",
+               "norm_range_union": "n_samples"}
 BAD_COUNTS = [(True, TypeError, "n_samples must be an integer, got bool"),
               (np.True_, TypeError, "n_samples must be an integer, got bool"),
               (2.5, TypeError, "n_samples must be an integer, got float"),
@@ -253,11 +256,15 @@ BAD_COUNTS = [(True, TypeError, "n_samples must be an integer, got bool"),
 HOSTILE_ARGUMENTS = (
     [(name, count, 0, error, message) for name in ("mc_rect_sup", "mc_fov_samples")
      for count, error, message in BAD_COUNTS]
-    + [(name, 10, -1, ValueError, "seed must be non-negative, got -1") for name in SEEDED_CALLS])
+    + [(name, 10, -1, ValueError, "seed must be non-negative, got -1") for name in SEEDED_CALLS]
+    + [(name, True, 0, TypeError, f"{COUNT_NAMES[name]} must be an integer, got bool")
+       for name in ("power_sigma_max", "projector_intersection_check", "norm_range_union")]
+    + [(name, 10, seed, TypeError, f"seed must be an integer, got {kind}")
+       for name in SEEDED_CALLS for seed, kind in ((True, "bool"), (np.True_, "bool"), (2.0, "float"))])
 
 
 @pytest.mark.parametrize("name, count, seed, error, message", HOSTILE_ARGUMENTS,
-                         ids=[f"{name}-seed={seed}" if seed < 0 else f"{name}-n_samples={count!r}"
+                         ids=[f"{name}-seed={seed!r}" if seed != 0 else f"{name}-{COUNT_NAMES[name]}={count!r}"
                               for name, count, seed, _, _ in HOSTILE_ARGUMENTS])
 def test_hostile_count_or_seed_raises(name, count, seed, error, message):
     with pytest.raises(error, match=message):

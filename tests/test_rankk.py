@@ -278,6 +278,14 @@ class TestFindWitness:
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             find_witness(np.eye(3), 1, z, seed=-1)
 
+    @pytest.mark.parametrize("argument, value, kind", [
+        ("restarts", True, "bool"), ("restarts", 2.0, "float"), ("max_iter", np.True_, "bool"),
+        ("max_iter", 5.0, "float"), ("seed", True, "bool"), ("seed", 1.5, "float")])
+    def test_rejects_bool_and_non_integer_counts(self, argument, value, kind):
+        # restarts=True used to run one restart
+        with pytest.raises(TypeError, match=f"{argument} must be an integer, got {kind}"):
+            find_witness(np.eye(3), 1, 0.1, **{argument: value})
+
     def test_seed_determinism(self, rng):
         a = rand_complex(rng, 3, 3)
         w1 = find_witness(a, 2, 10.0, seed=9, restarts=3)
@@ -380,7 +388,8 @@ def assert_consistent_pair(a, k, wit):
 
 
 class TestStackedWitnessSearch:
-    """Restart 0 runs alone; restarts 1..R-1 then run together as one stack."""
+    """Restart 0 runs its first pass alone; unless that certifies, it
+    continues in one stack with restarts 1..R-1, which run one pass behind."""
 
     def test_residual_monotone_in_restarts(self, rng):
         a = rand_complex(rng, 4, 3)
@@ -392,9 +401,10 @@ class TestStackedWitnessSearch:
     def test_first_certifying_restart_is_a_prefix_property(self, rng):
         # A non-member's best residual, used as the tolerance, is reached
         # first by a later restart; every shorter prefix of the restarts
-        # misses it and that prefix length reproduces it exactly.
+        # misses it and that prefix length reproduces it exactly.  Here
+        # restart 0 ends at 0.80854 and restart 11 reaches 0.80825.
         a = rand_complex(rng, 5, 3)
-        z = 1.2 * float(svd(a).sigma[0]) * np.exp(0.7j)
+        z = 1.2 * float(svd(a).sigma[1]) * np.exp(0.7j)
         tol = find_witness(a, 2, z, seed=3, restarts=20).residual
         wit = find_witness(a, 2, z, seed=3, restarts=20, tol=tol)
         assert wit.restarts_used > 1
@@ -478,9 +488,11 @@ class TestStackedWitnessSearch:
         assert np.array_equal(at_long.right, at_short.right)
 
     def test_svd_calls_do_not_grow_with_restarts(self, rng, monkeypatch):
-        # one SVD per half-step for the whole stack: 2 x (passes of
-        # restart 0 + passes of the longest stacked restart), about 40 here;
-        # one SVD per half-step per restart took over 800
+        # one SVD of A, then one per half-step for the whole stack: restart
+        # 0's first pass alone, after which its second pass shares an SVD
+        # with the first pass of the other restarts.  That makes 20 calls
+        # here; running restart 0 to its stall before the stack took 39, and
+        # one SVD per half-step per restart over 800.
         a = rand_complex(rng, 5, 3)
         z = 1.2 * float(svd(a).sigma[0]) * np.exp(0.7j)
         calls = []
@@ -496,8 +508,58 @@ class TestStackedWitnessSearch:
         calls.clear()
         wit = find_witness(a, 2, z, seed=5, restarts=20)
         assert wit.restarts_used == 20
-        assert len(calls) < 60
-        assert len(calls) < 2 * two
+        assert [shape[0] for shape in calls[1:4]] == [1, 1, 20]
+        assert len(calls) <= 21
+        assert len(calls) <= two + 1
+
+    def test_restart_zero_in_the_stack_matches_restart_zero_alone(self, rng):
+        # every restart ties here, so the 20-restart search returns restart
+        # 0, which ran its passes 2-4 inside the stack
+        a = rand_complex(rng, 5, 3)
+        z = 1.2 * float(svd(a).sigma[0]) * np.exp(0.7j)
+        alone = find_witness(a, 2, z, seed=3, restarts=1, max_iter=500)
+        joint = find_witness(a, 2, z, seed=3, restarts=20, max_iter=500)
+        assert joint.restarts_used == 20 and alone.iterations > 1
+        assert joint.residual == alone.residual
+        assert joint.iterations == alone.iterations
+        assert np.array_equal(joint.left, alone.left) and np.array_equal(joint.right, alone.right)
+        # with that residual as tol, restart 0 certifies on its first pass
+        at_tol = find_witness(a, 2, z, seed=3, restarts=20, max_iter=500, tol=alone.residual)
+        assert (at_tol.restarts_used, at_tol.iterations, at_tol.residual) == (1, 1, alone.residual)
+        assert np.array_equal(at_tol.left, alone.left) and np.array_equal(at_tol.right, alone.right)
+
+    @pytest.mark.parametrize("j", [-20, 40, 300])
+    def test_power_of_two_scaling_leaves_the_search_unchanged(self, j):
+        # the stall rule is relative, so scaling A, z and tol by 2**j scales
+        # every residual exactly; under an absolute 1e-15 floor, 8 of these
+        # 21 rescalings stopped at another pass
+        c = 2.0 ** j
+        for shape, k, index, factor in SCALING_CASES:
+            a = rand_complex(np.random.default_rng(12345), *shape)
+            z = factor * float(svd(a).sigma[index]) * np.exp(0.7j)
+            base = find_witness(a, k, z, seed=3)
+            wit = find_witness(c * a, k, c * z, seed=3, tol=c * 1e-8)
+            assert wit.residual == c * base.residual
+            assert (wit.iterations, wit.restarts_used) == (base.iterations, base.restarts_used)
+            assert np.array_equal(wit.left, base.left) and np.array_equal(wit.right, base.right)
+
+    def test_huge_entries_do_not_raise(self):
+        # squares of singular values near 1e160 overflowed, and inf / inf
+        # made the mixed start frame NaN; now the search runs and, with
+        # residuals that overflow, stays inconclusive
+        a = rand_complex(np.random.default_rng(0), 4, 3)
+        for scale in (1e160, 1e200, 1e300):
+            with np.errstate(over="ignore"):
+                wit = find_witness(scale * a, 3, 0.5 * scale * float(svd(a).sigma[1]))
+            assert not wit.residual <= 1e-8 * scale
+            assert isometry_defect(wit.left) <= 1e-10 and isometry_defect(wit.right) <= 1e-10
+
+
+# (shape, k, singular-value index, |z| as a multiple of it): members, values
+# outside the region or in a ring's hole, and a wide matrix
+SCALING_CASES = [((5, 3), 2, 0, 1.2), ((5, 3), 2, 1, 1.2), ((4, 3), 1, 0, 1.3),
+                 ((4, 3), 2, 1, 0.5), ((2, 5), 2, 1, 1.4), ((4, 4), 3, 2, 0.5),
+                 ((3, 2), 2, 0, 1.5)]
 
 
 def ring_cases():
