@@ -4,9 +4,10 @@ The set of values z for which some pair of k-column isometries M, N solves
 M* A N = z I_k is circular around the origin and falls into three regimes by
 the index k: a disc of radius sigma_k while 2k stays within the larger
 dimension, the ring between sigma_{m+n-2k+1} and sigma_k up to
-3k <= m + n + 1, and empty past that.  Membership can also be read off the
-singular-value interlacing inequalities, and ``find_witness`` certifies
-individual values with an explicit isometry pair.
+3k <= m + n + 1, and past that empty unless repeated singular values make
+those two radii equal, when it is the circle |z| = sigma_k.  Membership can
+also be read off the singular-value interlacing inequalities, and
+``find_witness`` certifies individual values with an explicit isometry pair.
 """
 
 from __future__ import annotations
@@ -55,12 +56,16 @@ class WitnessPair:
 def rank_k_region(a, k: int) -> RankKRegion:
     """Region of the rank-k range by the index trichotomy.
 
-    Singular values indexed past min(m, n) read as zero, which collapses the
-    ring to a disc; a ring with equal radii collapses to a circle and a zero
-    outer radius to the origin.
+    Past the low regime the region is the ring sigma_j <= |z| <= sigma_k,
+    j = m + n - 2k + 1, whenever sigma_j <= sigma_k: always up to
+    3k <= m + n + 1, past that only when the two are equal, and otherwise
+    empty.  Singular values indexed past min(m, n) read as zero, which
+    collapses the ring to a disc; a ring with equal radii collapses to a
+    circle and a zero outer radius to the origin.
     """
     arr = as_matrix(a)
     m, n = arr.shape
+    require_ints(k=k)
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > min(m, n):
@@ -69,9 +74,9 @@ def rank_k_region(a, k: int) -> RankKRegion:
     outer = float(sig[k - 1])
     if 2 * k <= max(m, n):
         return RankKRegion(k, "low", normalize_region(Disc(0j, outer)))
-    if 3 * k <= m + n + 1:
-        j = m + n - 2 * k + 1
-        inner = float(sig[j - 1]) if j <= min(m, n) else 0.0
+    j = m + n - 2 * k + 1
+    inner = float(sig[j - 1]) if j <= min(m, n) else 0.0
+    if inner <= outer:
         return RankKRegion(k, "ring", normalize_region(Annulus(0j, inner, outer)))
     return RankKRegion(k, "empty", Empty())
 
@@ -86,6 +91,7 @@ def rank_k_contains(a, k: int, z) -> bool:
     """
     arr = as_matrix(a)
     m, n = arr.shape
+    require_ints(k=k)
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > min(m, n):
@@ -112,6 +118,7 @@ def hermitian_rank_interval(hm, k: int) -> Region:
     to the k-th largest; it is a point when they meet and empty when they
     cross (or when k exceeds the dimension).
     """
+    require_ints(k=k)
     if k < 1:
         raise ValueError("k must be >= 1")
     lam = hermitian_eigen(hm).lam
@@ -243,27 +250,24 @@ def _initial_right_frame(sig, v, m: int, n: int, k: int, z: complex) -> np.ndarr
     return frame
 
 
-def _descend(arr, z, start, more, near_origin, max_iter, tol):
-    """Block-coordinate descent on the witness residual, all restarts in one stack.
+def _descend(arr, z, right, near_origin, max_iter, tol):
+    """Block-coordinate descent on the witness residual, for a stack of start frames.
 
-    Row 0 starts from the frame ``start``, shape (n, k), and runs its first
-    pass alone.  Unless that pass certifies, ``more()`` (when given) supplies
-    the start frames of rows 1..R-1, shape (R - 1, n, k), which join the
-    stack at row 0's second pass, so they run one pass behind it.  A row
-    stops once its best residual reaches ``tol``, after ``max_iter`` passes
-    of its own, or when three passes in a row fail to lower its best
-    residual by a relative 1e-12.  The relative rule leaves the search
+    ``right`` stacks R start frames, shape (R, n, k), and every row runs
+    from pass 1.  A row stops once its best residual reaches ``tol``, after
+    ``max_iter`` passes, or when three passes in a row fail to lower its
+    best residual by a relative 1e-12.  The relative rule leaves the search
     exactly invariant under power-of-two scaling, and stops rows whose only
     gains are rounding noise.  Finished rows leave the stack, so each
-    half-step is one SVD of the rows still running.  Rows never interact.
-    Returns the best left and right frames, residual and number of passes
-    of every row, in row order.
+    half-step is one SVD of the rows still running.  Rows never interact,
+    so a row's result is the one it gets alone.  Returns the best left and
+    right frames, residual and number of passes of every row, in row order.
     """
-    right, active = start[None], np.zeros(1, dtype=int)
+    rows = np.arange(len(right))
     best_left = best_right = None
     best_res, stall = np.inf, 0
     finished = []
-    for it in range(1, max_iter + 2):  # row 0's pass it, the joined rows' pass it - 1
+    for it in range(1, max_iter + 1):
         left = _frames(arr @ right, z, near_origin)
         res = _fro(_minus_identity(left.conj().swapaxes(1, 2) @ arr @ right, z))
         better = res < best_res * (1.0 - 1e-12)
@@ -274,34 +278,22 @@ def _descend(arr, z, start, more, near_origin, max_iter, tol):
             # a row's first pass sets its frames even when its residual is not finite
             if best_left is None:
                 best_left, best_right = left, right
-            pick = (better | (active > 0) if it == 2 else better)[:, None, None]
-            best_left = np.where(pick, left, best_left)
-            best_right = np.where(pick, right, best_right)
+            best_left = np.where(better[:, None, None], left, best_left)
+            best_right = np.where(better[:, None, None], right, best_right)
             best_res = np.where(better, res, best_res)
             stall = np.where(better, 0, stall + 1)
-        joining = more() if more is not None and best_res[0] > tol else None
-        more = None
         done = (best_res <= tol) | (stall >= 3)
-        if it >= max_iter:
-            done |= (active == 0) | (it > max_iter)
         finished_now = np.count_nonzero(done)
-        if finished_now == len(done) and joining is None:
-            finished.append((active, best_left, best_right, best_res, it - (active > 0)))
+        if finished_now == len(done) or it == max_iter:
+            finished.append((rows, best_left, best_right, best_res, np.full(len(rows), it)))
             break
         if finished_now:
-            rows = active[done]
-            finished.append((rows, best_left[done], best_right[done], best_res[done], it - (rows > 0)))
+            finished.append((rows[done], best_left[done], best_right[done], best_res[done],
+                             np.full(finished_now, it)))
             keep = ~done
-            active, left, best_left, best_right, best_res, stall = (
-                part[keep] for part in (active, left, best_left, best_right, best_res, stall))
-        right = _frames(arr.conj().T @ left, z.conjugate(), near_origin) if len(left) else right[:0]
-        if joining is not None:
-            count, _, k = joining.shape
-            fresh = (np.arange(1, count + 1), joining, np.empty((count, arr.shape[0], k), dtype=complex),
-                     joining, np.full(count, np.inf), np.zeros(count, dtype=int))
-            active, right, best_left, best_right, best_res, stall = (
-                np.concatenate(pair) for pair in zip(
-                    (active, right, best_left, best_right, best_res, stall), fresh))
+            rows, left, best_left, best_right, best_res, stall = (
+                part[keep] for part in (rows, left, best_left, best_right, best_res, stall))
+        right = _frames(arr.conj().T @ left, z.conjugate(), near_origin)
     if len(finished) == 1:
         return finished[0][1:]
     order = np.argsort(np.concatenate([part[0] for part in finished]))
@@ -315,10 +307,11 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
     Multi-start block-coordinate descent on ||M* A N - z I||_F: each
     half-step solves the one-sided isometry subproblem exactly whenever it is
     feasible and otherwise falls back to the phase-steered polar update.
-    Restart 0 starts from (possibly mixed) singular-vector frames and runs
-    its first pass alone, so a member certified there costs no other
-    restart.  Otherwise restart 0 continues in one stack with the other
-    restarts, from the frames ``random_isometries(min(m, n), k, restarts - 1,
+    Restart 0 starts from (possibly mixed) singular-vector frames.  With
+    more than one restart, a first ``_descend`` runs restart 0's first pass
+    alone, so a member certified there costs no other restart.  Otherwise a
+    second ``_descend`` runs every restart in one stack from pass 1: restart
+    0 again, and the frames ``random_isometries(min(m, n), k, restarts - 1,
     (seed, 1))``.  A restart stops at ``tol``, at ``max_iter`` passes, or
     after three passes that each lower its best residual by no more than a
     relative 1e-12.  Returns the first certifying restart in index order,
@@ -327,7 +320,7 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
     """
     arr = as_matrix(a)
     m, n = arr.shape
-    require_ints(restarts=restarts, max_iter=max_iter, seed=seed)
+    require_ints(k=k, restarts=restarts, max_iter=max_iter, seed=seed)
     if not 1 <= k <= min(m, n):
         raise ValueError(f"need 1 <= k <= min(m, n) = {min(m, n)}, got {k}")
     if restarts < 1:
@@ -345,11 +338,13 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
     # no image A N or A* M of a k-column isometry exceeds sqrt(k) ||A||_2 in
     # Frobenius norm; the factor 2 absorbs rounding
     near_origin = abs(z) <= 2e-14 * max(1.0, k ** 0.5 * float(sig[0]))
-    start = _initial_right_frame(sig, vh.conj().T, m, n, k, z)
-    more = (lambda: random_isometries(n, k, restarts - 1, (seed, 1))) if restarts > 1 else None
-    left, right, res, iterations = _descend(arr, z, start, more, near_origin, max_iter, tol)
+    start = _initial_right_frame(sig, vh.conj().T, m, n, k, z)[None]
+    left, right, res, iterations = _descend(arr, z, start, near_origin,
+                                            1 if restarts > 1 else max_iter, tol)
     pick = 0
-    if len(res) > 1:
+    if restarts > 1 and not res[0] <= tol:
+        start = np.concatenate([start, random_isometries(n, k, restarts - 1, (seed, 1))])
+        left, right, res, iterations = _descend(arr, z, start, near_origin, max_iter, tol)
         hit = res <= tol
         pick = int(np.argmax(hit)) if hit.any() else int(np.argmin(res))
     used = pick + 1 if res[pick] <= tol else restarts
@@ -392,7 +387,7 @@ def projector_intersection_check(a, k: int, n_trials: int, seed: int) -> Project
     """
     arr = as_matrix(a)
     m, n = arr.shape
-    require_ints(n_trials=n_trials, seed=seed)
+    require_ints(k=k, n_trials=n_trials, seed=seed)
     if not 1 <= k <= min(m, n):
         raise ValueError(f"need 1 <= k <= min(m, n) = {min(m, n)}, got {k}")
     if n_trials < 1:

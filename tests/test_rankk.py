@@ -6,6 +6,8 @@ from nrange.geometry import Annulus, Circle, Disc, Empty, Point, Segment, region
 from nrange.linalg import isometry_defect, random_isometries, random_isometry, svd
 from nrange.rankk import (
     ProjectorBoundReport,
+    _descend,
+    _initial_right_frame,
     find_witness,
     hermitian_rank_interval,
     projector_intersection_check,
@@ -280,11 +282,21 @@ class TestFindWitness:
 
     @pytest.mark.parametrize("argument, value, kind", [
         ("restarts", True, "bool"), ("restarts", 2.0, "float"), ("max_iter", np.True_, "bool"),
-        ("max_iter", 5.0, "float"), ("seed", True, "bool"), ("seed", 1.5, "float")])
+        ("max_iter", 5.0, "float"), ("seed", True, "bool"), ("seed", 1.5, "float"),
+        ("k", True, "bool"), ("k", 2.0, "float")])
     def test_rejects_bool_and_non_integer_counts(self, argument, value, kind):
-        # restarts=True used to run one restart
-        with pytest.raises(TypeError, match=f"{argument} must be an integer, got {kind}"):
-            find_witness(np.eye(3), 1, 0.1, **{argument: value})
+        # restarts=True used to run one restart and k=True ran as k = 1;
+        # k=2.0 failed on an index or a slice
+        message = f"{argument} must be an integer, got {kind}"
+        with pytest.raises(TypeError, match=message):
+            find_witness(np.eye(3), **{"k": 1, "z": 0.1, argument: value})
+        if argument == "k":
+            for call in (lambda: rank_k_region(np.eye(3), value),
+                         lambda: rank_k_contains(np.eye(3), value, 0.1),
+                         lambda: hermitian_rank_interval(np.eye(3), value),
+                         lambda: projector_intersection_check(np.eye(3), value, 3, 0)):
+                with pytest.raises(TypeError, match=message):
+                    call()
 
     def test_seed_determinism(self, rng):
         a = rand_complex(rng, 3, 3)
@@ -388,8 +400,8 @@ def assert_consistent_pair(a, k, wit):
 
 
 class TestStackedWitnessSearch:
-    """Restart 0 runs its first pass alone; unless that certifies, it
-    continues in one stack with restarts 1..R-1, which run one pass behind."""
+    """Restart 0 runs its first pass alone; unless that certifies, every
+    restart, restart 0 included, runs in one stack from pass 1."""
 
     def test_residual_monotone_in_restarts(self, rng):
         a = rand_complex(rng, 4, 3)
@@ -488,11 +500,12 @@ class TestStackedWitnessSearch:
         assert np.array_equal(at_long.right, at_short.right)
 
     def test_svd_calls_do_not_grow_with_restarts(self, rng, monkeypatch):
-        # one SVD of A, then one per half-step for the whole stack: restart
-        # 0's first pass alone, after which its second pass shares an SVD
-        # with the first pass of the other restarts.  That makes 20 calls
-        # here; running restart 0 to its stall before the stack took 39, and
-        # one SVD per half-step per restart over 800.
+        # one SVD of A, one for the left half-step of restart 0's first pass
+        # alone, then one per half-step for the stack of all 20 restarts,
+        # which runs restart 0's first pass again.  That makes 19 calls
+        # here, as with 2 restarts; running restart 0 one pass ahead of the
+        # stack took 20, running it to its stall first 39, and one SVD per
+        # half-step per restart over 800.
         a = rand_complex(rng, 5, 3)
         z = 1.2 * float(svd(a).sigma[0]) * np.exp(0.7j)
         calls = []
@@ -508,13 +521,13 @@ class TestStackedWitnessSearch:
         calls.clear()
         wit = find_witness(a, 2, z, seed=5, restarts=20)
         assert wit.restarts_used == 20
-        assert [shape[0] for shape in calls[1:4]] == [1, 1, 20]
-        assert len(calls) <= 21
+        assert [shape[0] for shape in calls[1:4]] == [1, 20, 20]
+        assert len(calls) <= 20
         assert len(calls) <= two + 1
 
     def test_restart_zero_in_the_stack_matches_restart_zero_alone(self, rng):
         # every restart ties here, so the 20-restart search returns restart
-        # 0, which ran its passes 2-4 inside the stack
+        # 0, which ran all of its passes again inside the stack
         a = rand_complex(rng, 5, 3)
         z = 1.2 * float(svd(a).sigma[0]) * np.exp(0.7j)
         alone = find_witness(a, 2, z, seed=3, restarts=1, max_iter=500)
@@ -592,3 +605,96 @@ class TestRingInnerEdge:
             if wit.residual > 1e-8:
                 failed.append((idx, k, wit.residual))
         assert not failed
+
+
+def start_stack(a, k, z, count, seed):
+    """The singular-vector start frame of a tall a, then count - 1 random frames."""
+    m, n = a.shape
+    _, sig, vh = np.linalg.svd(a, full_matrices=False)
+    first = _initial_right_frame(sig, vh.conj().T, m, n, k, z)
+    return np.concatenate([first[None], random_isometries(n, k, count - 1, (seed, 1))])
+
+
+class TestDescendStack:
+    @pytest.mark.parametrize("shape,k,index,factor,max_iter,member", [
+        ((5, 3), 2, 1, 0.6, 500, True),    # every row certifies on its first pass
+        ((4, 3), 1, 0, 1.0, 500, True),    # on the edge: random rows certify later
+        ((5, 3), 2, 1, 1.2, 500, False),   # every row runs to its stall
+        ((4, 4), 3, 2, 0.5, 500, False),   # inside the hole of a circle
+        ((3, 3), 2, 1, 0.0, 500, False),   # the origin, in the hole of a ring
+        ((5, 3), 2, 0, 1.2, 3, False),     # max_iter cuts every row off
+    ])
+    def test_rows_match_each_frame_alone(self, shape, k, index, factor, max_iter, member):
+        a = rand_complex(np.random.default_rng(7), *shape)
+        sig = svd(a).sigma
+        z = complex(factor * float(sig[index]) * np.exp(0.7j))
+        near_origin = abs(z) <= 2e-14 * max(1.0, k ** 0.5 * float(sig[0]))
+        frames = start_stack(a, k, z, 8, seed=2)
+        stacked = _descend(a, z, frames, near_origin, max_iter, 1e-8)
+        for i, frame in enumerate(frames):
+            alone = _descend(a, z, frame[None], near_origin, max_iter, 1e-8)
+            for got, want in zip(stacked, alone):
+                assert np.array_equal(got[i], want[0])
+        residual, iterations = stacked[2:]
+        assert (residual <= 1e-8).all() == member
+        assert iterations.max() <= max_iter
+        if member:
+            assert iterations[0] == 1
+        if factor == 1.0:
+            assert iterations.max() > 1  # rows leave the stack at different passes
+        if max_iter == 3:
+            assert (iterations == 3).all()
+
+
+# (shape, k, singular-value index, |z| as a multiple of it, restarts, max_iter,
+# residual as float.hex, iterations, restarts_used), for the matrix
+# rand_complex(default_rng(100 + row)), z at phase 0.7 and seed 4: members,
+# non-members, wide shapes, z = 0 and max_iter cut-offs.  Recorded before the
+# search ran every restart, restart 0 included, from pass 1 of one stack.
+WITNESS_RESULTS = [
+    ((5, 3), 2, 1, 0.6, 20, 500, '0x1.467cfd9800f93p-49', 1, 1),
+    ((5, 3), 2, 1, 1.2, 20, 500, '0x1.1194a0d6fa472p+0', 4, 20),
+    ((4, 3), 1, 0, 1.3, 20, 500, '0x1.7510ed293457ap+0', 4, 20),
+    ((3, 3), 2, 1, 0.0, 20, 500, '0x1.9b1642fd66009p-1', 7, 20),
+    ((3, 3), 2, 2, 1.5, 20, 500, '0x1.c21e321766661p-1', 4, 20),
+    ((4, 4), 3, 2, 0.5, 20, 500, '0x1.3fe3e885262a7p+1', 4, 20),
+    ((5, 4), 3, 3, 1.1, 20, 500, '0x1.0ee4a603d7abdp-49', 1, 1),
+    ((2, 5), 2, 1, 0.7, 20, 500, '0x1.2345bb0dd046dp-51', 1, 1),
+    ((2, 5), 2, 1, 1.4, 6, 500, '0x1.19bcc386f4d06p+1', 4, 6),
+    ((4, 2), 2, 0, 0.0, 20, 500, '0x1.22c36bd793169p-52', 1, 1),
+    ((5, 3), 2, 0, 1.2, 5, 3, '0x1.d85ced11d1c19p+1', 3, 5),
+    ((4, 3), 2, 1, 1.3, 3, 1, '0x1.221adb2273b99p+0', 1, 3),
+    ((1, 1), 1, 0, 1.0, 20, 500, '0x1.0000000000000p-52', 1, 1),
+]
+
+
+def test_find_witness_matches_recorded_results():
+    for row, (shape, k, index, factor, restarts, max_iter, residual, iterations,
+              used) in enumerate(WITNESS_RESULTS):
+        a = rand_complex(np.random.default_rng(100 + row), *shape)
+        z = factor * float(svd(a).sigma[index]) * np.exp(0.7j)
+        wit = find_witness(a, k, z, seed=4, restarts=restarts, max_iter=max_iter)
+        assert (wit.residual.hex(), wit.iterations, wit.restarts_used) == (residual, iterations, used)
+
+
+def padded(*diagonal, rows):
+    """diag(diagonal) with zero rows appended up to ``rows``."""
+    return np.vstack([np.diag(diagonal), np.zeros((rows - len(diagonal), len(diagonal)))])
+
+
+class TestRepeatedSingularValues:
+    @pytest.mark.parametrize("a,k", [(np.eye(3), 3), (padded(1.0, 1.0, 1.0, rows=4), 3),
+                                     (padded(5.0, 1.0, 1.0, 1.0, rows=5), 4)],
+                             ids=["I3", "I3-over-zero-row", "diag-5-1-1-1-padded"])
+    def test_circle_past_the_ring_regime(self, a, k):
+        # 3k > m + n + 1, yet sigma_{m+n-2k+1} = sigma_k = 1: the region was
+        # declared empty while the witness certified |z| = 1 exactly
+        m, n = a.shape
+        assert 3 * k > m + n + 1
+        region = rank_k_region(a, k).region
+        assert region == Circle(0j, 1.0)
+        for radius in (0.0, 0.5, 1.0, 1.5):
+            z = radius * np.exp(0.7j)
+            member = rank_k_contains(a, k, z)
+            assert member == region_contains(region, z, 1e-12) == (radius == 1.0)
+            assert (find_witness(a, k, z, restarts=4).residual <= 1e-8) == member
