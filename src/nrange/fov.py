@@ -155,10 +155,8 @@ def fov_boundary(a, n_angles: int = 720) -> BoundaryCurve:
     with it to rounding, because exp(-i theta) at the two angles is not
     exactly opposite.
     """
-    require_ints(n_angles=n_angles)
+    require_ints(8, n_angles=n_angles)
     arr = _require_square(a)
-    if n_angles < 8:
-        raise ValueError("need at least eight angles")
     angles = default_angles(n_angles)
     support = np.empty(n_angles, dtype=float)
     points = np.empty(n_angles, dtype=complex)
@@ -183,29 +181,24 @@ def sharp_points(curve: BoundaryCurve) -> list[SharpPoint]:
 
     A corner is a boundary point that stays the support maximizer across a
     cyclic run of grid angles at least three grid steps wide; consecutive
-    samples within 1e-6 times the curve scale count as one point.  Smooth
+    samples within 1e-6 times the curve scale count as one point.  Every
+    run's start, length and width come from one pass over the breaks between
+    runs, and each kept run reports its middle sample: that angle sits
+    strictly inside the normal cone, where the stored point is the corner
+    itself, while run edges can drift by the clustering tolerance.  Smooth
     boundaries yield an empty list.
     """
     n = len(curve.angles)
     step = curve.grid_step()
-    cluster_tol = 1e-6 * curve.scale()
     pts = curve.points
-    same = np.abs(np.diff(pts, append=pts[:1])) <= cluster_tol
+    same = np.abs(np.diff(pts, append=pts[:1])) <= 1e-6 * curve.scale()
     if same.all():
         return [SharpPoint(location=complex(pts[n // 2]), normal_cone_width=2.0 * np.pi)]
     breaks = np.flatnonzero(~same)
-    found = []
-    for start_break, end_break in zip(breaks, np.roll(breaks, -1)):
-        start = (int(start_break) + 1) % n
-        length = (int(end_break) - start) % n + 1
-        width = length * step
-        if width + 1e-12 < 3.0 * step:
-            continue
-        idx = (start + np.arange(length)) % n
-        # the run's middle angle sits strictly inside the normal cone, where
-        # the stored point is the corner itself; run edges can drift by the
-        # clustering tolerance
-        found.append(
-            SharpPoint(location=complex(pts[idx[length // 2]]), normal_cone_width=width)
-        )
-    return found
+    starts = (breaks + 1) % n
+    lengths = (np.roll(breaks, -1) - starts) % n + 1
+    widths = lengths * step
+    keep = widths + 1e-12 >= 3.0 * step
+    middles = (starts[keep] + lengths[keep] // 2) % n
+    return [SharpPoint(location=complex(pts[i]), normal_cone_width=float(width))
+            for i, width in zip(middles, widths[keep])]

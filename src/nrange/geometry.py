@@ -13,6 +13,8 @@ from typing import Union
 
 import numpy as np
 
+from .linalg import require_ints
+
 __all__ = [
     "Annulus",
     "BoundaryCurve",
@@ -39,9 +41,8 @@ __all__ = [
 
 
 def default_angles(n: int) -> np.ndarray:
-    """n equispaced angles in [0, 2*pi)."""
-    if n < 2:
-        raise ValueError("need at least two angles")
+    """n equispaced angles in [0, 2*pi); n is an integer of at least 2."""
+    require_ints(2, n=n)
     return np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
 
 

@@ -99,12 +99,12 @@ def random_isometries(m: int, k: int, count: int, seed) -> np.ndarray:
     frame i taking block i as real then imaginary parts, so a shorter stack
     is a prefix of a longer one.  One QR of the whole stack follows, with
     each R diagonal rotated to be real nonnegative, which pins every factor
-    uniquely.
+    uniquely.  ``seed`` goes to ``default_rng`` as given: callers pass
+    SeedSequence entropy such as ``(seed, 1)``.
     """
-    if not 1 <= k <= m:
+    require_ints(1, m=m, k=k, count=count)
+    if k > m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
-    if count < 1:
-        raise ValueError(f"need count >= 1, got {count}")
     draw = np.random.default_rng(seed).standard_normal((count, 2, m, k))
     q, r = np.linalg.qr(draw[:, 0] + 1j * draw[:, 1])
     d = np.diagonal(r, axis1=1, axis2=2).copy()
@@ -126,11 +126,20 @@ def isometry_defect(h) -> float:
     return float(np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[1])))
 
 
-def require_ints(**values) -> None:
-    """Raise TypeError for any keyword value that is not an integer; bools are refused."""
+def require_ints(minimum: int, /, **values) -> None:
+    """The library's one check of counts, indices and seeds, keyword by keyword.
+
+    Raises TypeError ("k must be an integer, got bool") for a value that is
+    not a Python or numpy integer, bools included, and ValueError ("n_angles
+    must be >= 8, got 7", or "seed must be non-negative, got -1" when
+    ``minimum`` is 0) for one below ``minimum``.
+    """
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+        if value < minimum:
+            bound = "non-negative" if minimum == 0 else f">= {minimum}"
+            raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 def require_isometry(h) -> np.ndarray:

@@ -73,11 +73,14 @@ def _unscaled(x, exp: int):
         return np.ldexp(x, exp)
 
 
-def _require_ints(**values) -> None:
-    """Raise TypeError for any keyword value that is not an integer; bools are refused."""
+def _require_ints(minimum: int, /, **values) -> None:
+    """``linalg.require_ints`` restated, since this module imports no nrange code."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+        if value < minimum:
+            bound = "non-negative" if minimum == 0 else f">= {minimum}"
+            raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 def _sample_forms(
@@ -91,11 +94,8 @@ def _sample_forms(
     first, then y alike.  Only the forms are divided by |x| |y|, and the
     square root is taken once, at the largest squared modulus of all blocks.
     """
-    _require_ints(n_samples=n_samples, seed=seed)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    _require_ints(1, n_samples=n_samples)
+    _require_ints(0, seed=seed)
     m, n = arr.shape
     rng = np.random.default_rng(seed)
     t = arr.T
@@ -159,11 +159,8 @@ def power_sigma_max(a, n_iters: int, seed: int) -> float:
     is inf.
     """
     arr, exp = _scaled(a)
-    _require_ints(n_iters=n_iters, seed=seed)
-    if n_iters < 1:
-        raise ValueError("n_iters must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    _require_ints(1, n_iters=n_iters)
+    _require_ints(0, seed=seed)
     m, n = arr.shape
     gram = arr.conj().T @ arr if n <= m else arr @ arr.conj().T
     dim = gram.shape[0]

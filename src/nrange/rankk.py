@@ -59,23 +59,20 @@ def rank_k_region(a, k: int) -> RankKRegion:
     Past the low regime the region is the ring sigma_j <= |z| <= sigma_k,
     j = m + n - 2k + 1, whenever sigma_j <= sigma_k: always up to
     3k <= m + n + 1, past that only when the two are equal, and otherwise
-    empty.  Singular values indexed past min(m, n) read as zero, which
-    collapses the ring to a disc; a ring with equal radii collapses to a
-    circle and a zero outer radius to the origin.
+    empty.  Since 2k > max(m, n) there, j never passes min(m, n).  A zero
+    inner radius collapses the ring to a disc, equal radii to a circle and a
+    zero outer radius to the origin.
     """
     arr = as_matrix(a)
     m, n = arr.shape
-    require_ints(k=k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    require_ints(1, k=k)
     if k > min(m, n):
         return RankKRegion(k, "empty", Empty())
     sig = svd(arr).sigma
     outer = float(sig[k - 1])
     if 2 * k <= max(m, n):
         return RankKRegion(k, "low", normalize_region(Disc(0j, outer)))
-    j = m + n - 2 * k + 1
-    inner = float(sig[j - 1]) if j <= min(m, n) else 0.0
+    inner = float(sig[m + n - 2 * k])
     if inner <= outer:
         return RankKRegion(k, "ring", normalize_region(Annulus(0j, inner, outer)))
     return RankKRegion(k, "empty", Empty())
@@ -84,31 +81,23 @@ def rank_k_region(a, k: int) -> RankKRegion:
 def rank_k_contains(a, k: int, z) -> bool:
     """Membership through the singular-value interlacing inequalities.
 
-    |z| must stay below the top k singular values and, when 2k exceeds both
-    dimensions, above the shifted tail family; indices beyond min(m, n) read
-    as zero.  Every inequality has a slack of 1e-12, the tolerance ``verify``
-    passes to ``region_contains``, so the two routes agree on boundaries.
+    |z| must stay at or below the top k singular values and, when 2k exceeds
+    both dimensions, at or above sigma_{i+m+n-2k} for i = 1, ..., 2k -
+    max(m, n) (R. C. Thompson, Linear Algebra Appl. 5, 1972).  With
+    descending singular values only two of them bind: sigma_k above and,
+    as in ``rank_k_region``, sigma_j, j = m + n - 2k + 1, below.  Both have
+    a slack of 1e-12, the tolerance ``verify`` passes to ``region_contains``,
+    so the two routes agree on boundaries.  A z that is not finite is never
+    a member.
     """
     arr = as_matrix(a)
     m, n = arr.shape
-    require_ints(k=k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    require_ints(1, k=k)
     if k > min(m, n):
         return False
     sig = svd(arr).sigma
-
-    def sv(j: int) -> float:  # 1-based, zero past min(m, n)
-        return float(sig[j - 1]) if j <= min(m, n) else 0.0
-
-    r = abs(complex(z))
-    for i in range(1, k + 1):
-        if r > sv(i) + 1e-12:
-            return False
-    for i in range(1, min(2 * k - m, 2 * k - n) + 1):
-        if r < sv(i + m + n - 2 * k) - 1e-12:
-            return False
-    return True
+    inner = float(sig[m + n - 2 * k]) if 2 * k > max(m, n) else 0.0
+    return inner - 1e-12 <= abs(complex(z)) <= float(sig[k - 1]) + 1e-12
 
 
 def hermitian_rank_interval(hm, k: int) -> Region:
@@ -118,9 +107,7 @@ def hermitian_rank_interval(hm, k: int) -> Region:
     to the k-th largest; it is a point when they meet and empty when they
     cross (or when k exceeds the dimension).
     """
-    require_ints(k=k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    require_ints(1, k=k)
     lam = hermitian_eigen(hm).lam
     n = len(lam)
     if k > n:
@@ -316,20 +303,18 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
     after three passes that each lower its best residual by no more than a
     relative 1e-12.  Returns the first certifying restart in index order,
     else the lowest-index best pair; a residual at or below ``tol``
-    certifies the value, anything else is inconclusive.
+    certifies the value, anything else is inconclusive.  A z that is not
+    finite raises ValueError before any decomposition.
     """
     arr = as_matrix(a)
     m, n = arr.shape
-    require_ints(k=k, restarts=restarts, max_iter=max_iter, seed=seed)
-    if not 1 <= k <= min(m, n):
+    require_ints(1, k=k, restarts=restarts, max_iter=max_iter)
+    require_ints(0, seed=seed)
+    if k > min(m, n):
         raise ValueError(f"need 1 <= k <= min(m, n) = {min(m, n)}, got {k}")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
     value = z = complex(z)
+    if not np.isfinite(z):
+        raise ValueError("z must be finite")
     wide = m < n
     if wide:
         # Work on the adjoint so the exact step sees the taller side.
@@ -387,13 +372,10 @@ def projector_intersection_check(a, k: int, n_trials: int, seed: int) -> Project
     """
     arr = as_matrix(a)
     m, n = arr.shape
-    require_ints(k=k, n_trials=n_trials, seed=seed)
-    if not 1 <= k <= min(m, n):
+    require_ints(1, k=k, n_trials=n_trials)
+    require_ints(0, seed=seed)
+    if k > min(m, n):
         raise ValueError(f"need 1 <= k <= min(m, n) = {min(m, n)}, got {k}")
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
     u_full, sig, vh_full = np.linalg.svd(arr, full_matrices=True)
     sigma_k = float(sig[k - 1])
     right_dim = n - k + 1

@@ -208,11 +208,8 @@ def norm_range_union(a, n_samples: int, seed: int) -> NormRangeUnionReport:
     Every disc is ``norm_range_disc``'s, from one ``_norm_discs`` call on the
     whole stack, so memory grows as n_samples * m * n.
     """
-    require_ints(n_samples=n_samples, seed=seed)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    require_ints(1, n_samples=n_samples)
+    require_ints(0, seed=seed)
     arr = as_matrix(a)
     rng = np.random.default_rng(seed)
     frob = float(np.linalg.norm(arr))

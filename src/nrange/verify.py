@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fov, geometry, oracles, projrange, rankk, rectrange
 from .geometry import default_angles, region_contains, region_support_curve, support_gap
-from .linalg import random_isometry, svd
+from .linalg import random_isometry, require_ints, svd
 from .reference import TALL_EXAMPLE, TALL_EXAMPLE_FRAME, WIDE_EXAMPLE
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "run_suites"]
@@ -549,8 +549,7 @@ def run_suite(name: str, seed: int, tol: float = 1e-8) -> list[CheckResult]:
         func = SUITE_NAMES[name]
     except KeyError:
         raise ValueError(f"unknown suite: {name!r}") from None
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    require_ints(0, seed=seed)
     return [
         CheckResult(name, check, not bad, "; ".join(bad[:3]))
         for check, bad in func(seed, tol).items()

@@ -10,7 +10,14 @@ import pytest
 from conftest import rand_complex
 from nrange import fov
 from nrange.fov import fov_boundary, sharp_points, support_point
-from nrange.geometry import ConvexBoundary, curve_from_points, region_contains, support_gap
+from nrange.geometry import (
+    BoundaryCurve,
+    ConvexBoundary,
+    curve_from_points,
+    default_angles,
+    region_contains,
+    support_gap,
+)
 from nrange.oracles import mc_fov_samples
 from nrange.projrange import ProjectorSetting, lower_range
 from nrange.reference import TALL_EXAMPLE, TALL_EXAMPLE_FRAME
@@ -22,8 +29,8 @@ BAD_ANGLES = [(True, TypeError, "n_angles must be an integer, got bool"),
               (720.0, TypeError, "n_angles must be an integer, got float"),
               ("16", TypeError, "n_angles must be an integer, got str"),
               (None, TypeError, "n_angles must be an integer, got NoneType"),
-              (7, ValueError, "need at least eight angles"),
-              (-720, ValueError, "need at least eight angles")]
+              (7, ValueError, "n_angles must be >= 8, got 7"),
+              (-720, ValueError, "got -720")]
 
 
 def use_cpus(monkeypatch, count, blas_threads=1):
@@ -339,3 +346,63 @@ class TestSharpPoints:
         found = sharp_points(curve)
         # the true bend apex sits 3.17e-5 above 5i (non-reducing eigenvalue)
         assert min(abs(s.location - 5j) for s in found) <= 5e-5
+
+
+def direct_sum(*blocks):
+    """Block-diagonal complex matrix of the square ``blocks``."""
+    n = sum(len(b) for b in blocks)
+    out = np.zeros((n, n), dtype=complex)
+    i = 0
+    for b in blocks:
+        out[i:i + len(b), i:i + len(b)] = b
+        i += len(b)
+    return out
+
+
+TALL_SETTING = ProjectorSetting(TALL_EXAMPLE, TALL_EXAMPLE_FRAME)
+# runs of 4 and 6 samples that drift within the clustering tolerance, so the
+# reported middle sample is told apart from its neighbours
+JITTERED = np.concatenate([1 + 1e-9 * np.arange(4), np.exp(1j * np.linspace(0.5, 3.0, 6)),
+                           -2j + 1e-9j * np.arange(6)])
+SHARP_CURVES = {
+    "diag-1-3-720": lambda: fov_boundary(np.diag([1.0, 3.0]), 720),
+    "diag-1-3-37": lambda: fov_boundary(np.diag([1.0, 3.0]), 37),
+    "triangle-360": lambda: fov_boundary(np.diag([1.0, 2j, -1 - 1j]), 360),
+    "triangle-101": lambda: fov_boundary(np.diag([1.0, 2j, -1 - 1j]), 101),
+    "nilpotent-plus-3-720": lambda: fov_boundary(direct_sum(NILPOTENT, [[3.0]]), 720),
+    "nilpotent-plus-3-99": lambda: fov_boundary(direct_sum(NILPOTENT, [[3.0]]), 99),
+    "tall-lower-720": lambda: lower_range(TALL_SETTING, 720),
+    "tall-lower-359": lambda: lower_range(TALL_SETTING, 359),
+    "nilpotent-720": lambda: fov_boundary(NILPOTENT, 720),
+    "identity-8": lambda: fov_boundary(np.eye(2), 8),
+    "jittered-runs-16": lambda: BoundaryCurve(default_angles(16), np.zeros(16), JITTERED),
+}
+# every corner as (Re, Im, normal cone width) in float.hex, recorded while
+# sharp_points still walked the runs one at a time in Python
+SHARP_RESULTS = {
+    "diag-1-3-720": [('0x1.0000000000000p+0', '0x0.0p+0', '0x1.921fb54442d18p+1'),
+                     ('0x1.8000000000000p+1', '0x0.0p+0', '0x1.921fb54442d18p+1')],
+    "diag-1-3-37": [('0x1.0000000000000p+0', '0x0.0p+0', '0x1.87417218e7110p+1'),
+                    ('0x1.8000000000000p+1', '0x0.0p+0', '0x1.9cfdf86f9e91fp+1')],
+    "triangle-360": [('0x0.0p+0', '0x1.0000000000000p+1', '0x1.2d97c7f3321d2p+1'),
+                     ('-0x1.0000000000000p+0', '-0x1.0000000000000p+0', '0x1.2d97c7f3321d2p+1'),
+                     ('0x1.0000000000000p+0', '0x0.0p+0', '0x1.921fb54442d18p+0')],
+    "triangle-101": [('0x0.0p+0', '0x1.0000000000000p+1', '0x1.2e96979b49175p+1'),
+                     ('-0x1.0000000000000p+0', '-0x1.0000000000000p+0', '0x1.2e96979b49175p+1'),
+                     ('0x1.0000000000000p+0', '0x0.0p+0', '0x1.8e2476a3e6e8cp+0')],
+    "nilpotent-plus-3-720": [('0x1.8000000000000p+1', '0x0.0p+0', '0x1.3c1d3157153cep+1')],
+    "nilpotent-plus-3-99": [('0x1.8000000000000p+1', '0x0.0p+0', '0x1.3cd329f7b8861p+1')],
+    "tall-lower-720": [('0x0.0p+0', '0x1.400085269247cp+2', '0x1.1bb88150df7ffp+0')],
+    "tall-lower-359": [('-0x1.d97ad72182f00p-22', '0x1.4000852589190p+2', '0x1.c9028545bbe4cp-1')],
+    "nilpotent-720": [],
+    "identity-8": [('0x1.0000000000000p+0', '0x0.0p+0', '0x1.921fb54442d18p+2')],
+    "jittered-runs-16": [('0x0.0p+0', '-0x1.fffffff31d771p+0', '0x1.2d97c7f3321d2p+1'),
+                         ('0x1.000000089705fp+0', '0x0.0p+0', '0x1.921fb54442d18p+0')],
+}
+
+
+@pytest.mark.parametrize("name", SHARP_CURVES)
+def test_sharp_points_match_recorded_results(name):
+    found = sharp_points(SHARP_CURVES[name]())
+    assert [(s.location.real.hex(), s.location.imag.hex(), s.normal_cone_width.hex())
+            for s in found] == SHARP_RESULTS[name]

@@ -1,7 +1,13 @@
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+import nrange
 from conftest import rand_complex
+from nrange.geometry import default_angles
 from nrange.linalg import (
     as_matrix,
     frobenius_inner,
@@ -9,12 +15,15 @@ from nrange.linalg import (
     isometry_defect,
     random_isometries,
     random_isometry,
+    require_ints,
     require_isometry,
     sigma_max,
     svd,
 )
 from nrange.oracles import power_sigma_max
-from nrange.reference import WIDE_EXAMPLE
+from nrange.projrange import ProjectorSetting
+from nrange.reference import TALL_EXAMPLE, TALL_EXAMPLE_FRAME, WIDE_EXAMPLE
+from nrange.verify import run_suite, run_suites
 
 
 class TestSvd:
@@ -172,3 +181,123 @@ class TestFrobeniusInner:
 
 def test_as_matrix_promotes_vectors():
     assert as_matrix([3.0, 4.0]).shape == (2, 1)
+
+
+# the counts, indices and seeds of the helpers and the suite runner, as
+# (call, error, message); TestIntegerContract passes True to every count,
+# index and seed of a public function
+HOSTILE_HELPER_ARGUMENTS = {
+    "random_isometries-count=np.True_": (lambda: random_isometries(3, 2, np.True_, 0), TypeError,
+                                         "count must be an integer, got bool"),
+    "random_isometries-count=2.0": (lambda: random_isometries(3, 2, 2.0, 0), TypeError,
+                                    "count must be an integer, got float"),
+    "random_isometries-count=0": (lambda: random_isometries(3, 2, 0, 0), ValueError,
+                                  "count must be >= 1, got 0"),
+    "random_isometry-m=3.0": (lambda: random_isometry(3.0, 2, 0), TypeError,
+                              "m must be an integer, got float"),
+    "random_isometry-k=0": (lambda: random_isometry(3, 0, 0), ValueError, "k must be >= 1, got 0"),
+    "random_isometry-k=4": (lambda: random_isometry(3, 4, 0), ValueError, "need 1 <= k <= m, got k=4, m=3"),
+    "default_angles-n=8.0": (lambda: default_angles(8.0), TypeError, "n must be an integer, got float"),
+    "default_angles-n=True": (lambda: default_angles(True), TypeError, "n must be an integer, got bool"),
+    "default_angles-n=1": (lambda: default_angles(1), ValueError, "n must be >= 2, got 1"),
+    "run_suite-seed=np.True_": (lambda: run_suite("prop12", np.True_), TypeError,
+                                "seed must be an integer, got bool"),
+    "run_suite-seed=1.5": (lambda: run_suite("prop12", 1.5), TypeError,
+                           "seed must be an integer, got float"),
+    "run_suites-seed=2.0": (lambda: run_suites(["prop12"], 2.0), TypeError,
+                            "seed must be an integer, got float"),
+}
+
+
+@pytest.mark.parametrize("case", HOSTILE_HELPER_ARGUMENTS)
+def test_hostile_helper_count_or_seed_raises(case):
+    # run_suite(..., 1.5) failed inside numpy's seeding, and numpy raised its
+    # own bare TypeErrors for the other non-integers
+    call, error, message = HOSTILE_HELPER_ARGUMENTS[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_require_ints_reports_the_first_bad_keyword():
+    require_ints(8, n_angles=np.int64(8), k=9)
+    with pytest.raises(ValueError, match="^k must be >= 8, got 7$"):
+        require_ints(8, n_angles=8, k=np.int32(7), seed=True)
+    with pytest.raises(ValueError, match="^count must be non-negative, got -1$"):
+        require_ints(0, count=-1)
+
+
+# every public function with one of these parameters must accept only an
+# integer there, and refuse a bool with the contract's TypeError before any
+# decomposition or random draw
+CONTRACT_PARAMETERS = {"k", "seed", "restarts", "max_iter", "n_trials", "n_samples", "n_iters",
+                       "count", "n_angles"}
+_SETTING = ProjectorSetting(TALL_EXAMPLE, TALL_EXAMPLE_FRAME)
+# valid keyword arguments of each entry point, by module.function
+ENTRY_POINTS = {
+    "fov.fov_boundary": dict(a=np.eye(3), n_angles=16),
+    "linalg.random_isometries": dict(m=3, k=2, count=2, seed=0),
+    "linalg.random_isometry": dict(m=3, k=2, seed=0),
+    "oracles.mc_fov_samples": dict(a=np.eye(3), n_samples=10, seed=0),
+    "oracles.mc_rect_sup": dict(a=np.eye(3), n_samples=10, seed=0),
+    "oracles.power_sigma_max": dict(a=np.eye(3), n_iters=10, seed=0),
+    "projrange.higher_range": dict(setting=_SETTING, n_angles=16),
+    "projrange.lower_range": dict(setting=_SETTING, n_angles=16),
+    "projrange.sharp_transfer_report": dict(setting=_SETTING, n_angles=16),
+    "rankk.find_witness": dict(a=np.eye(3), k=1, z=0.5, seed=0, restarts=2, max_iter=5),
+    "rankk.hermitian_rank_interval": dict(hm=np.eye(3), k=1),
+    "rankk.projector_intersection_check": dict(a=np.eye(3), k=1, n_trials=3, seed=0),
+    "rankk.rank_k_contains": dict(a=np.eye(3), k=1, z=0.5),
+    "rankk.rank_k_region": dict(a=np.eye(3), k=1),
+    "rectrange.norm_range_union": dict(a=np.eye(3), n_samples=10, seed=0),
+    "verify.run_suite": dict(name="prop12", seed=0),
+    "verify.run_suites": dict(names=["prop12"], seed=0),
+}
+# parameters passed on unchecked, with the reason
+UNCHECKED = {
+    ("linalg.random_isometries", "seed"): "SeedSequence entropy such as (seed, 1)",
+    ("linalg.random_isometry", "seed"): "SeedSequence entropy such as (seed, 1)",
+}
+
+
+def public_functions():
+    """Every public function of nrange and its modules, as {module.function: function}."""
+    found = {}
+    for info in pkgutil.iter_modules(nrange.__path__):
+        if info.name.startswith("_"):
+            continue
+        module = importlib.import_module(f"nrange.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            func = getattr(module, name)
+            if inspect.isfunction(func):
+                found[f"{func.__module__.removeprefix('nrange.')}.{func.__name__}"] = func
+    return found
+
+
+def checked_parameters():
+    return [(name, param) for name, func in sorted(public_functions().items())
+            for param in inspect.signature(func).parameters
+            if param in CONTRACT_PARAMETERS and (name, param) not in UNCHECKED]
+
+
+class TestIntegerContract:
+    def test_every_entry_point_is_in_the_table(self):
+        functions = public_functions()
+        exported = [getattr(nrange, name) for name in nrange.__all__]
+        assert {f for f in exported if inspect.isfunction(f)} <= set(functions.values())
+        listed = {name for name, _ in checked_parameters()} | {name for name, _ in UNCHECKED}
+        assert listed == set(ENTRY_POINTS), "add the new entry point to ENTRY_POINTS"
+        for name, kwargs in ENTRY_POINTS.items():
+            inspect.signature(functions[name]).bind(**kwargs)
+
+    @pytest.mark.parametrize("name, param", checked_parameters(),
+                             ids=[f"{name}-{param}" for name, param in checked_parameters()])
+    def test_bool_is_refused_before_any_work(self, monkeypatch, name, param):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{name} worked before checking {param}")
+
+        for attr in ("svd", "eigh", "eigvals", "qr", "norm"):
+            monkeypatch.setattr(np.linalg, attr, never)
+        monkeypatch.setattr(np.random, "default_rng", never)
+        func = public_functions()[name]
+        with pytest.raises(TypeError, match=f"^{param} must be an integer, got bool$"):
+            func(**{**ENTRY_POINTS[name], param: True})

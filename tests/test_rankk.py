@@ -698,3 +698,65 @@ class TestRepeatedSingularValues:
             member = rank_k_contains(a, k, z)
             assert member == region_contains(region, z, 1e-12) == (radius == 1.0)
             assert (find_witness(a, k, z, restarts=4).residual <= 1e-8) == member
+
+
+# (shape, k, singular-value index, |z| relative to that value, verdict) for
+# rand_complex(default_rng(200 + row)) at phase 1, 1j, -1, -1j by row: every
+# radius exactly at, within and one ulp past its 1e-12 slack, on tall, square
+# and wide shapes, rings, circles, empty sets and k past min(m, n).  Recorded
+# while rank_k_contains still walked every interlacing inequality.
+CONTAINS_OFFSETS = {"at": lambda s: s, "+slack": lambda s: s + 1e-12, "-slack": lambda s: s - 1e-12,
+                    "past+slack": lambda s: np.nextafter(s + 1e-12, np.inf),
+                    "past-slack": lambda s: np.nextafter(s - 1e-12, -np.inf)}
+CONTAINS_VERDICTS = [
+    ((4, 3), 1, 0, 'at', True),
+    ((4, 3), 1, 0, '+slack', True),
+    ((4, 3), 1, 0, 'past+slack', False),
+    ((3, 3), 2, 1, '+slack', True),
+    ((3, 3), 2, 1, 'past+slack', False),
+    ((3, 3), 2, 2, '-slack', True),
+    ((3, 3), 2, 2, 'past-slack', False),
+    ((3, 3), 2, 2, 'at', True),
+    ((5, 4), 3, 3, '-slack', True),
+    ((5, 4), 3, 3, 'past-slack', False),
+    ((5, 4), 3, 2, '+slack', True),
+    ((5, 4), 3, 2, 'past+slack', False),
+    ((2, 5), 2, 1, '+slack', True),
+    ((2, 5), 2, 1, 'past+slack', False),
+    ((2, 5), 1, 0, 'at', True),
+    ((3, 4), 3, 1, 'at', False),
+    ((3, 4), 3, 2, 'at', False),
+    ((4, 5), 3, 3, '-slack', True),
+    ((4, 5), 3, 3, 'past-slack', False),
+    ((3, 5), 3, 2, 'at', True),
+    ((3, 5), 3, 2, 'past+slack', False),
+    ((3, 4), 2, 1, 'past+slack', False),
+    ((3, 2), 3, 1, 'at', False),
+    ((2, 3), 3, 0, '-slack', False),
+]
+
+
+def test_rank_k_contains_matches_recorded_verdicts():
+    for row, (shape, k, index, offset, verdict) in enumerate(CONTAINS_VERDICTS):
+        a = rand_complex(np.random.default_rng(200 + row), *shape)
+        r = CONTAINS_OFFSETS[offset](float(svd(a).sigma[index]))
+        assert rank_k_contains(a, k, r * (1, 1j, -1, -1j)[row % 4]) == verdict, row
+
+
+@pytest.mark.parametrize("z", [np.nan, np.inf, complex(0.5, np.nan), complex(-np.inf, 0.5)],
+                         ids=["nan", "inf", "nan-imag", "-inf-real"])
+def test_non_finite_values_agree_on_every_route(monkeypatch, z):
+    # rank_k_contains(a, 1, nan) used to be True, and find_witness died in
+    # numpy's SVD with "did not converge"
+    a = rand_complex(np.random.default_rng(5), 4, 3)
+    for k in (1, 2, 3):
+        assert not rank_k_contains(a, k, z)
+        assert not region_contains(rank_k_region(a, k).region, z, 1e-12)
+
+    def never(*args, **kwargs):
+        raise AssertionError("decomposed a matrix for a value that is not finite")
+
+    monkeypatch.setattr(np.linalg, "svd", never)
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError, match="z must be finite"):
+            find_witness(a, k, z)
