@@ -152,6 +152,10 @@ def _cmd_compute(args) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError:
+        print("error: the region is not finite at this scale; scale the matrix down",
+              file=sys.stderr)
+        return EXIT_DOMAIN
     print(args.out)
     if args.svg is not None:
         outer = max(sigma[0], 1e-9)

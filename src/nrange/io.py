@@ -33,6 +33,7 @@ from .geometry import (
     Region,
     Segment,
 )
+from .linalg import require_ints
 
 __all__ = [
     "MatrixParseError",
@@ -86,12 +87,15 @@ def parse_complex(token: str) -> complex:
 
 def _matrix_from_json(payload: dict) -> np.ndarray:
     try:
-        rows, cols = int(payload["rows"]), int(payload["cols"])
-        data = payload["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols, data = payload["rows"], payload["cols"], payload["data"]
+    except KeyError as exc:
         raise MatrixParseError(f"matrix JSON needs rows/cols/data: {exc}") from exc
-    if rows < 1 or cols < 1:
-        raise MatrixParseError("rows and cols must be positive")
+    try:
+        require_ints(1, rows=rows, cols=cols)
+    except (TypeError, ValueError) as exc:
+        raise MatrixParseError(f"bad matrix JSON header: {exc}") from exc
+    if not isinstance(data, list):
+        raise MatrixParseError("matrix JSON data must be a list of [re, im] pairs")
     if len(data) != rows * cols:
         raise MatrixParseError(f"expected {rows * cols} entries, got {len(data)}")
     try:
@@ -213,7 +217,8 @@ def region_from_payload(payload: dict) -> tuple[Region, dict]:
 
 
 def save_region(path, region: Region, meta: dict) -> None:
-    Path(path).write_text(json.dumps(region_to_payload(region, meta)))
+    """Write a region file; ValueError, and no file, when a float is not finite."""
+    Path(path).write_text(json.dumps(region_to_payload(region, meta), allow_nan=False))
 
 
 def load_region(path) -> tuple[Region, dict]:

@@ -99,10 +99,13 @@ def random_isometries(m: int, k: int, count: int, seed) -> np.ndarray:
     frame i taking block i as real then imaginary parts, so a shorter stack
     is a prefix of a longer one.  One QR of the whole stack follows, with
     each R diagonal rotated to be real nonnegative, which pins every factor
-    uniquely.  ``seed`` goes to ``default_rng`` as given: callers pass
-    SeedSequence entropy such as ``(seed, 1)``.
+    uniquely.  ``seed`` is a non-negative integer or a tuple of them,
+    SeedSequence entropy such as ``(seed, 1)``; ``require_ints`` refuses
+    anything else.
     """
     require_ints(1, m=m, k=k, count=count)
+    for part in seed if isinstance(seed, tuple) else (seed,):
+        require_ints(0, seed=part)
     if k > m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     draw = np.random.default_rng(seed).standard_normal((count, 2, m, k))

@@ -7,7 +7,9 @@ dimension, the ring between sigma_{m+n-2k+1} and sigma_k up to
 3k <= m + n + 1, and past that empty unless repeated singular values make
 those two radii equal, when it is the circle |z| = sigma_k.  Membership can
 also be read off the singular-value interlacing inequalities, and
-``find_witness`` certifies individual values with an explicit isometry pair.
+``find_witness`` certifies individual values with an explicit isometry pair:
+for a member, built in closed form from the SVD of A, with a multi-start
+descent as the fallback and as the search for every other value.
 """
 
 from __future__ import annotations
@@ -136,6 +138,12 @@ def _minus_identity(x: np.ndarray, c) -> np.ndarray:
     return x
 
 
+def _off_identity(x: np.ndarray, c) -> float:
+    """Frobenius norm of x - c I for one fresh square matrix x, changed in place."""
+    _minus_identity(x[None], c)
+    return math.sqrt(np.vdot(x, x).real)
+
+
 def _frames(b: np.ndarray, z: complex, near_origin: bool) -> np.ndarray:
     """One half-step for a stack of images b, shape (R, m, k), from one SVD.
 
@@ -195,46 +203,85 @@ def _frames(b: np.ndarray, z: complex, near_origin: bool) -> np.ndarray:
     return frame
 
 
-def _initial_right_frame(sig, v, m: int, n: int, k: int, z: complex) -> np.ndarray:
-    """Deterministic start frame from (possibly mixed) singular vectors.
+def _start_frames(sig, u, v, m: int, n: int, k: int, z: complex):
+    """Deterministic start frame N and, where one exists, the exact M with M* A N = z I.
 
-    While 2k fits inside m the top-k right singular vectors suffice; past
-    that, the surplus columns must compress to norm |z| exactly, so each one
-    mixes the largest and smallest unused indices hi and lo with weights c
-    and sqrt(1 - c^2), c^2 = (|z|^2 - sig_lo^2) / (sig_hi^2 - sig_lo^2)
-    clipped to [0, 1], whenever sig_hi > sig_lo.  Requires m >= n; all
-    column index sets stay disjoint, so the frame is orthonormal by
-    construction.
+    ``u``, ``sig``, ``v`` are the full SVD of an m x n A, m >= n.  While 2k
+    fits inside m, N is the top-k right singular vectors; past that, the
+    surplus columns must compress to norm |z| exactly, so each one mixes the
+    largest and smallest unused indices hi and lo with weights c and
+    s = sqrt(1 - c^2), c^2 = (|z|^2 - sig_lo^2) / (sig_hi^2 - sig_lo^2)
+    clipped to [0, 1], whenever sig_hi > sig_lo.  Disjoint index sets make N
+    orthonormal and the columns of A N orthogonal.  Column j of M is the
+    unit image of column j times conj(z)/d_j, d_j its norm, plus
+    sqrt(1 - |z|^2/d_j^2) times a complement direction of its own: an unused
+    u_i or a mix's orthogonal partner.  As in ``_frames``, M exists when no
+    d_j falls below |z| (relative 1e-10) and there is a complement direction
+    for every d_j above it (1 - |z|^2/d_j^2 > 1e-12); otherwise, or when
+    mixes run out of indices, M is None.
     """
     pins = max(0, 2 * k - m)
-    cols = [v[:, :k - pins]]
-    available = list(range(k - pins, n))
+    plain = k - pins
     r = abs(z)
-    for _ in range(pins):
+    cols, norms, order, mixes = [v[:, :plain]], sig[:plain].tolist(), list(range(plain)), []
+    available = range(plain, n)
+    for j in range(plain, k):
         if not available:
             break
-        if len(available) >= 2:
-            hi, lo = available[0], available[-1]
-            sa, sp = float(sig[hi]), float(sig[lo])
-            if sa > sp:
-                # |z|, sig_lo and sig_hi over the power of two just above
-                # sig_hi: exact, so c^2 is the plain formula's wherever its
-                # squares fit, and no square overflows at any scale
-                e = -math.frexp(sa)[1]
-                ra, rp, rz = math.ldexp(sa, e), math.ldexp(sp, e), math.ldexp(r, e)
-                c2 = np.clip((rz * rz - rp * rp) / (ra * ra - rp * rp), 0.0, 1.0)
-                cols.append(np.sqrt(c2) * v[:, hi] + np.sqrt(1.0 - c2) * v[:, lo])
-                available = available[1:-1]
-                continue
-        cols.append(v[:, available.pop(0)])
+        hi, lo = available[0], available[-1]
+        sa, sp = float(sig[hi]), float(sig[lo])
+        if sa > sp:
+            # |z|, sig_lo and sig_hi over the power of two just above sig_hi:
+            # exact, so c^2 is the plain formula's wherever its squares fit,
+            # and no square overflows at any scale
+            e = -math.frexp(sa)[1]
+            ra, rp, rz = math.ldexp(sa, e), math.ldexp(sp, e), math.ldexp(r, e)
+            c2 = min(max((rz * rz - rp * rp) / (ra * ra - rp * rp), 0.0), 1.0)
+            c, s = math.sqrt(c2), math.sqrt(1.0 - c2)
+            cols.append(c * v[:, hi] + s * v[:, lo])
+            x, y = c * sa, s * sp
+            h = math.hypot(x, y)
+            # an image of norm 0 (z = 0 at sig_lo = 0) may point anywhere
+            mixes.append((j, hi, lo) + ((x / h, y / h) if h else (0.0, 1.0)))
+            norms.append(h)
+            available = available[1:-1]
+        else:
+            cols.append(v[:, hi])
+            norms.append(float(sig[hi]))
+            available = available[1:]
+        order.append(hi)
     frame = np.column_stack(cols)
-    missing = k - frame.shape[1]
-    if missing > 0:
+    if frame.shape[1] < k:
         # mixes can exhaust the index pool past the ring regime; top up from
         # the orthogonal complement of what was collected
         comp = np.linalg.svd(frame, full_matrices=True)[0][:, frame.shape[1]:]
-        frame = np.hstack([frame, comp[:, :missing]])
-    return frame
+        return np.hstack([frame, comp[:, :k - frame.shape[1]]]), None
+    if mixes:
+        # rotate u so that its first k columns are the unit images and the
+        # rest the complement directions: the unused u_i, then the partners
+        rot = np.eye(m).take(order + [*available, *range(n, m)] + [mix[2] for mix in mixes], axis=1)
+        for t, (j, hi, lo, x, y) in enumerate(mixes, start=m - len(mixes)):
+            rot[hi, j], rot[lo, j], rot[hi, t], rot[lo, t] = x, y, y, -x
+        u = u @ rot
+    if min(norms) < r * (1.0 - 1e-10):
+        return frame, None
+    # within 1e-12 of |z| a column takes the phase of conj(z) alone, which
+    # keeps M an isometry exactly; an image of norm 0 needs z = 0
+    phase = z.conjugate() / r if r else 0j
+    coef, need, weights = [], [], []
+    for j, d in enumerate(norms):
+        ratio = r / d if d else 0.0
+        defect = (1.0 - ratio) * (1.0 + ratio)
+        if defect > 1e-12:
+            need.append(j)
+            weights.append(math.sqrt(defect))
+        coef.append(ratio * phase if defect > 1e-12 else phase)
+    if len(need) > m - k:
+        return frame, None
+    left = u[:, :k] * np.array(coef)
+    if need:
+        left[:, need] += u[:, k:k + len(need)] * weights
+    return frame, left
 
 
 def _descend(arr, z, right, near_origin, max_iter, tol):
@@ -291,20 +338,23 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
                  max_iter: int = 500, tol: float = 1e-8) -> WitnessPair:
     """Search for an isometry pair certifying z in the rank-k range.
 
-    Multi-start block-coordinate descent on ||M* A N - z I||_F: each
-    half-step solves the one-sided isometry subproblem exactly whenever it is
-    feasible and otherwise falls back to the phase-steered polar update.
-    Restart 0 starts from (possibly mixed) singular-vector frames.  With
-    more than one restart, a first ``_descend`` runs restart 0's first pass
-    alone, so a member certified there costs no other restart.  Otherwise a
-    second ``_descend`` runs every restart in one stack from pass 1: restart
-    0 again, and the frames ``random_isometries(min(m, n), k, restarts - 1,
-    (seed, 1))``.  A restart stops at ``tol``, at ``max_iter`` passes, or
-    after three passes that each lower its best residual by no more than a
-    relative 1e-12.  Returns the first certifying restart in index order,
-    else the lowest-index best pair; a residual at or below ``tol``
-    certifies the value, anything else is inconclusive.  A z that is not
-    finite raises ValueError before any decomposition.
+    Restart 0 starts from (possibly mixed) singular-vector frames N, and the
+    one SVD of A also gives the left frame M with M* A N = z I in closed
+    form where one exists (``_start_frames``).  That pair, pass 1 of restart
+    0 without an SVD of A N, is returned with ``restarts_used`` and
+    ``iterations`` 1 when M is an isometry to 1e-12 and ||M* A N - z I||_F,
+    computed from A, M and N, is at most ``tol``; every member certifies
+    this way.  Otherwise multi-start block-coordinate descent on
+    ||M* A N - z I||_F runs every restart in one stack from pass 1: restart
+    0, and the frames ``random_isometries(min(m, n), k, restarts - 1,
+    (seed, 1))``.  Each half-step solves the one-sided isometry subproblem
+    exactly whenever it is feasible and otherwise falls back to the
+    phase-steered polar update.  A restart stops at ``tol``, at ``max_iter``
+    passes, or after three passes that each lower its best residual by no
+    more than a relative 1e-12.  Returns the first certifying restart in
+    index order, else the lowest-index best pair; a residual at or below
+    ``tol`` certifies the value, anything else is inconclusive.  A z that is
+    not finite raises ValueError before any decomposition.
     """
     arr = as_matrix(a)
     m, n = arr.shape
@@ -319,25 +369,32 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
     if wide:
         # Work on the adjoint so the exact step sees the taller side.
         arr, z, m, n = arr.conj().T, z.conjugate(), n, m
-    _, sig, vh = np.linalg.svd(arr, full_matrices=False)
-    # no image A N or A* M of a k-column isometry exceeds sqrt(k) ||A||_2 in
-    # Frobenius norm; the factor 2 absorbs rounding
-    near_origin = abs(z) <= 2e-14 * max(1.0, k ** 0.5 * float(sig[0]))
-    start = _initial_right_frame(sig, vh.conj().T, m, n, k, z)[None]
-    left, right, res, iterations = _descend(arr, z, start, near_origin,
-                                            1 if restarts > 1 else max_iter, tol)
-    pick = 0
-    if restarts > 1 and not res[0] <= tol:
-        start = np.concatenate([start, random_isometries(n, k, restarts - 1, (seed, 1))])
+    u, sig, vh = np.linalg.svd(arr, full_matrices=True)
+    start, left = _start_frames(sig, u, vh.conj().T, m, n, k, z)
+    res = np.inf
+    if left is not None:
+        # pass 1's left half-step in closed form, checked from A, M and N
+        adj = left.conj().T
+        if _off_identity(adj @ left, 1.0) <= 1e-12:
+            res = _off_identity(adj @ arr @ start, z)
+    if res <= tol:
+        right, iterations, used = start, 1, 1
+    else:
+        # no image A N or A* M of a k-column isometry exceeds sqrt(k) ||A||_2
+        # in Frobenius norm; the factor 2 absorbs rounding
+        near_origin = abs(z) <= 2e-14 * max(1.0, k ** 0.5 * float(sig[0]))
+        start = start[None]
+        if restarts > 1:
+            start = np.concatenate([start, random_isometries(n, k, restarts - 1, (seed, 1))])
         left, right, res, iterations = _descend(arr, z, start, near_origin, max_iter, tol)
         hit = res <= tol
         pick = int(np.argmax(hit)) if hit.any() else int(np.argmin(res))
-    used = pick + 1 if res[pick] <= tol else restarts
+        left, right, res, iterations = left[pick], right[pick], res[pick], iterations[pick]
+        used = pick + 1 if res <= tol else restarts
     if wide:
         left, right = right, left
-    return WitnessPair(left=left[pick], right=right[pick], value=value,
-                       residual=float(res[pick]), restarts_used=used,
-                       iterations=int(iterations[pick]))
+    return WitnessPair(left=left, right=right, value=value, residual=float(res),
+                       restarts_used=used, iterations=int(iterations))
 
 
 # ---------------------------------------------------------------------------

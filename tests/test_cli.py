@@ -90,6 +90,34 @@ class TestCompute:
         code = main(["compute", "--input", str(bad), "--set", "w", "--out", str(out)])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("set_name, flags", [("w", []), ("fov", []), ("phik", ["--k", "1"]),
+                                                 ("wl", [])])
+    def test_malformed_json_header_is_parse_error(self, tmp_path, set_name, flags):
+        # this file loaded as the 1x1 matrix [[2]] and every set exited 0
+        bad = tmp_path / "header.json"
+        bad.write_text('{"rows": 1.9, "cols": true, "data": [[2, 0]]}')
+        out = tmp_path / "r.json"
+        code = main(["compute", "--input", str(bad), "--set", set_name, *flags, "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("set_name, flags", [("w", []), ("phik", ["--k", "1"])])
+    def test_region_beyond_the_float_range_is_domain_error(self, tmp_path, capsys, set_name, flags):
+        # sigma_1 of this matrix exceeds the largest float: the region file
+        # said "radius": Infinity and compute exited 0
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"rows": 2, "cols": 2, "data": [
+            [1.7e308, 0], [1.7e308, 0], [-1.7e308, 0], [1.7e308, 1e308]]}))
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        code = main(["compute", "--input", str(big), "--set", set_name, *flags, "--out", str(out),
+                     "--svg", str(tmp_path / "r.svg")])
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN
+        assert captured.out == ""
+        assert captured.err == "error: the region is not finite at this scale; scale the matrix down\n"
+        assert not out.exists() and not (tmp_path / "r.svg").exists()
+
     def test_unknown_set_is_usage_error(self, tmp_path, wide_file):
         code = main(
             ["compute", "--input", str(wide_file), "--set", "nope", "--out", str(tmp_path / "r")]

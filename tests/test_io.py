@@ -93,6 +93,22 @@ class TestMatrixFiles:
         with pytest.raises(MatrixParseError):
             load_matrix(path)
 
+    @pytest.mark.parametrize("rows, cols, data, message", [
+        (1.9, True, [[2, 0]], "rows must be an integer, got float"),
+        (1, True, [[2, 0]], "cols must be an integer, got bool"),
+        ("1", 1, [[2, 0]], "rows must be an integer, got str"),
+        (0, 1, [], "rows must be >= 1, got 0"),
+        (1, -2, [[2, 0]], "cols must be >= 1, got -2"),
+        (1, 1, 5, "data must be a list"),
+    ])
+    def test_json_header_is_checked(self, tmp_path, rows, cols, data, message):
+        # {"rows": 1.9, "cols": true, ...} loaded as the 1x1 matrix [[2]],
+        # and a data field that is not a list raised a bare TypeError
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"rows": rows, "cols": cols, "data": data}))
+        with pytest.raises(MatrixParseError, match=message):
+            load_matrix(path)
+
 
 REGIONS = [
     Empty(),
@@ -133,6 +149,15 @@ class TestRegionFiles:
             assert np.array_equal(loaded.curve.points, region.curve.points)
         else:
             assert loaded == region
+
+    @pytest.mark.parametrize("region", [Disc(0j, np.inf), Point(complex(np.nan, 0.0))],
+                             ids=["inf", "nan"])
+    def test_non_finite_region_writes_no_file(self, tmp_path, region):
+        # "radius": Infinity is not JSON (RFC 8259)
+        path = tmp_path / "r.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_region(path, region, {"set": "w"})
+        assert not path.exists()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):

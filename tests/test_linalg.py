@@ -197,6 +197,16 @@ HOSTILE_HELPER_ARGUMENTS = {
                               "m must be an integer, got float"),
     "random_isometry-k=0": (lambda: random_isometry(3, 0, 0), ValueError, "k must be >= 1, got 0"),
     "random_isometry-k=4": (lambda: random_isometry(3, 4, 0), ValueError, "need 1 <= k <= m, got k=4, m=3"),
+    "random_isometry-seed=2.0": (lambda: random_isometry(3, 2, 2.0), TypeError,
+                                 "seed must be an integer, got float"),
+    "random_isometry-seed=-1": (lambda: random_isometry(3, 2, -1), ValueError,
+                                "seed must be non-negative, got -1"),
+    "random_isometries-seed=(3, True)": (lambda: random_isometries(3, 2, 2, (3, True)), TypeError,
+                                         "seed must be an integer, got bool"),
+    "random_isometries-seed=(3, -1)": (lambda: random_isometries(3, 2, 2, (3, -1)), ValueError,
+                                       "seed must be non-negative, got -1"),
+    "random_isometries-seed=[3, 1]": (lambda: random_isometries(3, 2, 2, [3, 1]), TypeError,
+                                      "seed must be an integer, got list"),
     "default_angles-n=8.0": (lambda: default_angles(8.0), TypeError, "n must be an integer, got float"),
     "default_angles-n=True": (lambda: default_angles(True), TypeError, "n must be an integer, got bool"),
     "default_angles-n=1": (lambda: default_angles(1), ValueError, "n must be >= 2, got 1"),
@@ -252,12 +262,6 @@ ENTRY_POINTS = {
     "verify.run_suite": dict(name="prop12", seed=0),
     "verify.run_suites": dict(names=["prop12"], seed=0),
 }
-# parameters passed on unchecked, with the reason
-UNCHECKED = {
-    ("linalg.random_isometries", "seed"): "SeedSequence entropy such as (seed, 1)",
-    ("linalg.random_isometry", "seed"): "SeedSequence entropy such as (seed, 1)",
-}
-
 
 def public_functions():
     """Every public function of nrange and its modules, as {module.function: function}."""
@@ -276,7 +280,7 @@ def public_functions():
 def checked_parameters():
     return [(name, param) for name, func in sorted(public_functions().items())
             for param in inspect.signature(func).parameters
-            if param in CONTRACT_PARAMETERS and (name, param) not in UNCHECKED]
+            if param in CONTRACT_PARAMETERS]
 
 
 class TestIntegerContract:
@@ -284,7 +288,7 @@ class TestIntegerContract:
         functions = public_functions()
         exported = [getattr(nrange, name) for name in nrange.__all__]
         assert {f for f in exported if inspect.isfunction(f)} <= set(functions.values())
-        listed = {name for name, _ in checked_parameters()} | {name for name, _ in UNCHECKED}
+        listed = {name for name, _ in checked_parameters()}
         assert listed == set(ENTRY_POINTS), "add the new entry point to ENTRY_POINTS"
         for name, kwargs in ENTRY_POINTS.items():
             inspect.signature(functions[name]).bind(**kwargs)

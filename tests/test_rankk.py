@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import rand_complex
-from nrange.geometry import Annulus, Circle, Disc, Empty, Point, Segment, region_contains
+from nrange.geometry import (
+    Annulus, Circle, Disc, Empty, Point, Segment, radial_interval, region_contains,
+)
 from nrange.linalg import isometry_defect, random_isometries, random_isometry, svd
 from nrange.rankk import (
     ProjectorBoundReport,
     _descend,
-    _initial_right_frame,
+    _start_frames,
     find_witness,
     hermitian_rank_interval,
     projector_intersection_check,
@@ -400,8 +402,8 @@ def assert_consistent_pair(a, k, wit):
 
 
 class TestStackedWitnessSearch:
-    """Restart 0 runs its first pass alone; unless that certifies, every
-    restart, restart 0 included, runs in one stack from pass 1."""
+    """Unless the closed-form pair certifies, every restart, restart 0
+    included, runs in one stack from pass 1."""
 
     def test_residual_monotone_in_restarts(self, rng):
         a = rand_complex(rng, 4, 3)
@@ -500,12 +502,12 @@ class TestStackedWitnessSearch:
         assert np.array_equal(at_long.right, at_short.right)
 
     def test_svd_calls_do_not_grow_with_restarts(self, rng, monkeypatch):
-        # one SVD of A, one for the left half-step of restart 0's first pass
-        # alone, then one per half-step for the stack of all 20 restarts,
-        # which runs restart 0's first pass again.  That makes 19 calls
-        # here, as with 2 restarts; running restart 0 one pass ahead of the
-        # stack took 20, running it to its stall first 39, and one SVD per
-        # half-step per restart over 800.
+        # one SVD of A, which also gives the closed-form pair, then one per
+        # half-step for the stack of all 20 restarts, restart 0 included.
+        # That makes 18 calls here, as with 2 restarts; running restart 0's
+        # first pass alone ahead of the stack took 19, running it one pass
+        # ahead of the stack 20, running it to its stall first 39, and one
+        # SVD per half-step per restart over 800.
         a = rand_complex(rng, 5, 3)
         z = 1.2 * float(svd(a).sigma[0]) * np.exp(0.7j)
         calls = []
@@ -521,9 +523,9 @@ class TestStackedWitnessSearch:
         calls.clear()
         wit = find_witness(a, 2, z, seed=5, restarts=20)
         assert wit.restarts_used == 20
-        assert [shape[0] for shape in calls[1:4]] == [1, 20, 20]
-        assert len(calls) <= 20
-        assert len(calls) <= two + 1
+        assert [shape[0] for shape in calls[1:3]] == [20, 20]
+        assert len(calls) <= 18
+        assert len(calls) <= two
 
     def test_restart_zero_in_the_stack_matches_restart_zero_alone(self, rng):
         # every restart ties here, so the 20-restart search returns restart
@@ -610,8 +612,8 @@ class TestRingInnerEdge:
 def start_stack(a, k, z, count, seed):
     """The singular-vector start frame of a tall a, then count - 1 random frames."""
     m, n = a.shape
-    _, sig, vh = np.linalg.svd(a, full_matrices=False)
-    first = _initial_right_frame(sig, vh.conj().T, m, n, k, z)
+    u, sig, vh = np.linalg.svd(a, full_matrices=True)
+    first = _start_frames(sig, u, vh.conj().T, m, n, k, z)[0]
     return np.concatenate([first[None], random_isometries(n, k, count - 1, (seed, 1))])
 
 
@@ -646,22 +648,87 @@ class TestDescendStack:
             assert (iterations == 3).all()
 
 
+# verify's prop14 shapes, the witness benchmark's wide and larger shapes, and 1x1
+CERTIFICATE_SHAPES = [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (5, 3), (2, 3), (3, 5),
+                      (4, 6), (6, 4), (7, 5), (8, 6), (1, 1)]
+
+
+def member_cases():
+    """(a, k, z) for three matrices of every shape and every k with a nonempty
+    region: z on the inner edge (0 in a disc), on the outer edge and midway,
+    at a random phase."""
+    rng = np.random.default_rng(16)
+    cases = []
+    for shape in CERTIFICATE_SHAPES:
+        for _ in range(3):
+            a = rand_complex(rng, *shape)
+            for k in range(1, min(shape) + 1):
+                interval = radial_interval(rank_k_region(a, k).region)
+                if interval is not None:
+                    lo, hi = interval
+                    for radius in sorted({lo, (lo + hi) / 2, hi}):
+                        cases.append((a, k, complex(radius * np.exp(1j * rng.uniform(0, 2 * np.pi)))))
+    return cases
+
+
+class TestClosedFormCertificate:
+    def test_closed_form_and_descent_both_certify_every_member(self):
+        cases = member_cases()
+        assert len(cases) == 261
+        assert sum(z == 0 for _, _, z in cases) == 75
+        assert sum(rank_k_region(a, k).regime == "ring" for a, k, _ in cases) == 36
+        for a, k, z in cases:
+            assert rank_k_contains(a, k, z)
+            wide = a.shape[0] < a.shape[1]
+            arr, zt = (a.conj().T, z.conjugate()) if wide else (a, z)
+            m, n = arr.shape
+            u, sig, vh = np.linalg.svd(arr, full_matrices=True)
+            right, left = _start_frames(sig, u, vh.conj().T, m, n, k, zt)
+            assert left is not None
+            assert isometry_defect(left) <= 1e-12 and isometry_defect(right) <= 1e-12
+            assert np.linalg.norm(left.conj().T @ arr @ right - zt * np.eye(k)) <= 1e-12 * sig[0]
+            # the descent from the same start frame is the independent route
+            near_origin = abs(zt) <= 2e-14 * max(1.0, k ** 0.5 * float(sig[0]))
+            assert _descend(arr, zt, right[None], near_origin, 500, 1e-8)[2][0] <= 1e-8
+            wit = find_witness(a, k, z)
+            assert (wit.restarts_used, wit.iterations) == (1, 1)
+            pair = (right, left) if wide else (left, right)
+            assert np.array_equal(wit.left, pair[0]) and np.array_equal(wit.right, pair[1])
+
+    def test_a_member_costs_one_svd(self, monkeypatch):
+        cases = member_cases()
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(x, *args, **kwargs):
+            calls.append(np.shape(x))
+            return real_svd(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for a, k, z in cases:
+            calls.clear()
+            assert find_witness(a, k, z).residual <= 1e-8
+            assert calls == [tuple(sorted(a.shape, reverse=True))]
+
+
 # (shape, k, singular-value index, |z| as a multiple of it, restarts, max_iter,
 # residual as float.hex, iterations, restarts_used), for the matrix
 # rand_complex(default_rng(100 + row)), z at phase 0.7 and seed 4: members,
-# non-members, wide shapes, z = 0 and max_iter cut-offs.  Recorded before the
-# search ran every restart, restart 0 included, from pass 1 of one stack.
+# non-members, wide shapes, z = 0 and max_iter cut-offs.  Non-member rows were
+# recorded before the search ran every restart, restart 0 included, from pass
+# 1 of one stack; member rows when the closed-form pair replaced the descent's
+# first pass.
 WITNESS_RESULTS = [
-    ((5, 3), 2, 1, 0.6, 20, 500, '0x1.467cfd9800f93p-49', 1, 1),
+    ((5, 3), 2, 1, 0.6, 20, 500, '0x1.326fc2ba228fdp-49', 1, 1),
     ((5, 3), 2, 1, 1.2, 20, 500, '0x1.1194a0d6fa472p+0', 4, 20),
     ((4, 3), 1, 0, 1.3, 20, 500, '0x1.7510ed293457ap+0', 4, 20),
     ((3, 3), 2, 1, 0.0, 20, 500, '0x1.9b1642fd66009p-1', 7, 20),
     ((3, 3), 2, 2, 1.5, 20, 500, '0x1.c21e321766661p-1', 4, 20),
     ((4, 4), 3, 2, 0.5, 20, 500, '0x1.3fe3e885262a7p+1', 4, 20),
-    ((5, 4), 3, 3, 1.1, 20, 500, '0x1.0ee4a603d7abdp-49', 1, 1),
-    ((2, 5), 2, 1, 0.7, 20, 500, '0x1.2345bb0dd046dp-51', 1, 1),
+    ((5, 4), 3, 3, 1.1, 20, 500, '0x1.76c583b50bf72p-50', 1, 1),
+    ((2, 5), 2, 1, 0.7, 20, 500, '0x1.65edbcb4c09cfp-50', 1, 1),
     ((2, 5), 2, 1, 1.4, 6, 500, '0x1.19bcc386f4d06p+1', 4, 6),
-    ((4, 2), 2, 0, 0.0, 20, 500, '0x1.22c36bd793169p-52', 1, 1),
+    ((4, 2), 2, 0, 0.0, 20, 500, '0x1.26df3a27f2356p-52', 1, 1),
     ((5, 3), 2, 0, 1.2, 5, 3, '0x1.d85ced11d1c19p+1', 3, 5),
     ((4, 3), 2, 1, 1.3, 3, 1, '0x1.221adb2273b99p+0', 1, 3),
     ((1, 1), 1, 0, 1.0, 20, 500, '0x1.0000000000000p-52', 1, 1),
