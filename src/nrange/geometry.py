@@ -8,6 +8,7 @@ function of a convex set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -162,13 +163,20 @@ class ConvexBoundary:
 Region = Union[Empty, Point, Segment, Disc, Circle, Annulus, Ellipse, ConvexBoundary]
 
 
+def _modulus(w: complex) -> float:
+    """|w|, and inf where that exceeds the float range: abs() of a complex
+    with finite parts raises OverflowError there."""
+    return math.hypot(w.real, w.imag)
+
+
 def _segment_distance(z: complex, a: complex, b: complex) -> float:
-    d = b - a
-    length2 = abs(d) ** 2
+    # Python complex products overflow to inf without a numpy warning
+    d = complex(b - a)
+    length2 = _modulus(d) ** 2
     if length2 == 0.0:
-        return abs(z - a)
-    t = float(np.clip(((z - a) * np.conj(d)).real / length2, 0.0, 1.0))
-    return abs(z - (a + t * d))
+        return _modulus(z - a)
+    t = float(np.clip((complex(z - a) * d.conjugate()).real / length2, 0.0, 1.0))
+    return _modulus(z - (a + t * d))
 
 
 def region_contains(region: Region, z: complex, tol: float = 0.0) -> bool:
@@ -176,7 +184,8 @@ def region_contains(region: Region, z: complex, tol: float = 0.0) -> bool:
 
     Ellipses use the focal-sum test (the slack is measured on the focal sum),
     convex boundaries use support-function dominance; both stay robust at
-    corners and degenerate shapes.
+    corners and degenerate shapes.  Distances beyond the float range count
+    as inf, so a finite z whose modulus overflows lies in no bounded region.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
@@ -185,20 +194,23 @@ def region_contains(region: Region, z: complex, tol: float = 0.0) -> bool:
         case Empty():
             return False
         case Point(p):
-            return abs(z - p) <= tol
+            return _modulus(z - p) <= tol
         case Segment(a, b):
             return _segment_distance(z, a, b) <= tol
         case Disc(c, r):
-            return abs(z - c) <= r + tol
+            return _modulus(z - c) <= r + tol
         case Circle(c, r):
-            return abs(abs(z - c) - r) <= tol
+            return abs(_modulus(z - c) - r) <= tol
         case Annulus(c, lo, hi):
-            d = abs(z - c)
+            d = _modulus(z - c)
             return lo - tol <= d <= hi + tol
         case Ellipse(f1, f2, major):
-            return abs(z - f1) + abs(z - f2) <= major + tol
+            return _modulus(z - f1) + _modulus(z - f2) <= major + tol
         case ConvexBoundary(curve):
-            re = np.real(np.exp(-1j * curve.angles) * z)
+            # a projection past the float range is inf, which no finite
+            # support value dominates
+            with np.errstate(over="ignore"):
+                re = np.real(np.exp(-1j * curve.angles) * z)
             return bool(np.all(re <= curve.support + tol))
     raise TypeError(f"not a region: {region!r}")
 

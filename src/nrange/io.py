@@ -1,7 +1,8 @@
 """Matrix and region file formats shared by the command line and tests.
 
 Matrix files are either JSON objects ``{"rows": m, "cols": n, "data":
-[[re, im], ...]}`` with row-major entries, or CSV whose header line carries
+[[re, im], ...]}`` with row-major entries, each a pair of JSON numbers (not
+booleans), or CSV whose header line carries
 the two dimensions followed by complex literals like ``6+1i`` or ``-3-6i``.
 Region files are JSON with a ``kind`` tag, a payload per kind, and a ``meta``
 object; floats round-trip losslessly (shortest-repr, 17 significant digits).
@@ -98,10 +99,15 @@ def _matrix_from_json(payload: dict) -> np.ndarray:
         raise MatrixParseError("matrix JSON data must be a list of [re, im] pairs")
     if len(data) != rows * cols:
         raise MatrixParseError(f"expected {rows * cols} entries, got {len(data)}")
+    for index, entry in enumerate(data):
+        # type(), not isinstance(): JSON true and false load as bools, which are ints
+        if not (type(entry) is list and len(entry) == 2
+                and type(entry[0]) in (int, float) and type(entry[1]) in (int, float)):
+            raise MatrixParseError(f"entry {index} must be an [re, im] pair of numbers")
     try:
-        flat = [complex(float(re_im[0]), float(re_im[1])) for re_im in data]
-    except (TypeError, ValueError, IndexError) as exc:
-        raise MatrixParseError(f"entries must be [re, im] pairs: {exc}") from exc
+        flat = [complex(re_part, im_part) for re_part, im_part in data]
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise MatrixParseError("matrix entries must be finite") from exc
     arr = np.array(flat, dtype=complex).reshape(rows, cols)
     if not np.isfinite(arr).all():
         raise MatrixParseError("matrix entries must be finite")

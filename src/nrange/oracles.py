@@ -17,10 +17,21 @@ the same two for y (``mc_rect_sup`` only); a call's first k * 10,000 samples
 are the k * 10,000-sample call's.  Each sample is a Gaussian vector
 direction, that is a uniform unit vector once normalised; the normalisation
 is applied to the sampled products, N scalars, rather than to the N vectors.
+
+A call of more than one block starts one helper thread, which draws block
+i + 1 while the calling thread reduces block i, and joins it before it
+returns.  The helper never runs more than one block ahead, so two blocks of
+normals are held at a time.  The stream is unchanged, and reports are
+bitwise the same as drawing and reducing in turn on one thread: the
+generator is used by one thread at a time, the caller's draws of block 0
+before the helper starts, then only the helper's, in the documented order.
+Every product, reduction and floating-point check stays on the calling
+thread, under its ``numpy.errstate``.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -93,31 +104,71 @@ def _sample_forms(
     block of ``_BLOCK`` samples draws x as ``(2, b, n)`` normals, real parts
     first, then y alike.  Only the forms are divided by |x| |y|, and the
     square root is taken once, at the largest squared modulus of all blocks.
+
+    Block 0 is drawn on the calling thread, every later block on one helper
+    thread, into the other of two buffers, while the caller reduces the
+    block before it; the two meet at ``turn`` once per block, so the helper
+    is never more than one block ahead.
     """
     _require_ints(1, n_samples=n_samples)
     _require_ints(0, seed=seed)
     m, n = arr.shape
     rng = np.random.default_rng(seed)
+    starts = range(0, n_samples, _BLOCK)
+    width = n if quadratic else n + m
+    buffers = [np.empty(2 * min(_BLOCK, n_samples) * width) for _ in starts[:2]]
+
+    def draw(i):
+        b, buf = min(_BLOCK, n_samples - starts[i]), buffers[i % 2]
+        x = rng.standard_normal((2, b, n), out=buf[:2 * b * n].reshape(2, b, n))
+        if quadratic:
+            return x, x
+        return x, rng.standard_normal((2, b, m), out=buf[2 * b * n:2 * b * width].reshape(2, b, m))
+
+    drawn = [draw(0)]  # the helper appends, the caller pops
+    turn = threading.Barrier(2)
+
+    def draw_ahead():
+        try:
+            for i in range(1, len(starts)):
+                drawn.append(draw(i))
+                turn.wait()
+        except BaseException as exc:  # the caller raises it, unless it stopped first
+            drawn.append(exc)
+            turn.abort()
+
     t = arr.T
     op = np.block([[t.real, t.imag], [-t.imag, t.real]])
     points = np.empty(n_samples, dtype=complex) if keep_points else None
     peaks = []
-    for lo in range(0, n_samples, _BLOCK):
-        b = min(_BLOCK, n_samples - lo)
-        x = rng.standard_normal((2, b, n))
-        y = x if quadratic else rng.standard_normal((2, b, m))
-        ax = np.concatenate((x[0], x[1]), axis=1) @ op
-        ax_re, ax_im = ax[:, :m], ax[:, m:]
-        re = np.einsum("ij,ij->i", y[0], ax_re) + np.einsum("ij,ij->i", y[1], ax_im)
-        im = np.einsum("ij,ij->i", y[0], ax_im) - np.einsum("ij,ij->i", y[1], ax_re)
-        norm_sq = np.einsum("kij,kij->i", x, x)
-        norm_sq = norm_sq * norm_sq if quadratic else norm_sq * np.einsum("kij,kij->i", y, y)
-        norm_sq[norm_sq == 0] = 1.0
-        peaks.append(np.max((re * re + im * im) / norm_sq))
-        if keep_points:
-            inv = 1.0 / np.sqrt(norm_sq)
-            points.real[lo:lo + b] = _unscaled(re * inv, exp)
-            points.imag[lo:lo + b] = _unscaled(im * inv, exp)
+    # a one-block call has nothing to draw ahead
+    helper = threading.Thread(target=draw_ahead) if len(starts) > 1 else None
+    if helper:
+        helper.start()
+    try:
+        for lo in starts:
+            if lo:
+                turn.wait()  # this block is drawn, and the helper starts the next
+            x, y = drawn.pop(0)
+            b = x.shape[1]
+            ax = np.concatenate((x[0], x[1]), axis=1) @ op
+            ax_re, ax_im = ax[:, :m], ax[:, m:]
+            re = np.einsum("ij,ij->i", y[0], ax_re) + np.einsum("ij,ij->i", y[1], ax_im)
+            im = np.einsum("ij,ij->i", y[0], ax_im) - np.einsum("ij,ij->i", y[1], ax_re)
+            norm_sq = np.einsum("kij,kij->i", x, x)
+            norm_sq = norm_sq * norm_sq if quadratic else norm_sq * np.einsum("kij,kij->i", y, y)
+            norm_sq[norm_sq == 0] = 1.0
+            peaks.append(np.max((re * re + im * im) / norm_sq))
+            if keep_points:
+                inv = 1.0 / np.sqrt(norm_sq)
+                points.real[lo:lo + b] = _unscaled(re * inv, exp)
+                points.imag[lo:lo + b] = _unscaled(im * inv, exp)
+    except threading.BrokenBarrierError:
+        raise drawn[-1] from None
+    finally:
+        if helper:
+            turn.abort()
+            helper.join()
     # np.max, unlike max(), carries a NaN peak through to sup_abs
     sup_abs = float(_unscaled(np.sqrt(np.max(peaks)), exp))
     return McReport(n_samples=n_samples, sup_abs=sup_abs, seed=seed, points=points)

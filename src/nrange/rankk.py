@@ -89,8 +89,8 @@ def rank_k_contains(a, k: int, z) -> bool:
     descending singular values only two of them bind: sigma_k above and,
     as in ``rank_k_region``, sigma_j, j = m + n - 2k + 1, below.  Both have
     a slack of 1e-12, the tolerance ``verify`` passes to ``region_contains``,
-    so the two routes agree on boundaries.  A z that is not finite is never
-    a member.
+    so the two routes agree on boundaries.  A z that is not finite, or whose
+    modulus exceeds the float range, is never a member.
     """
     arr = as_matrix(a)
     m, n = arr.shape
@@ -99,7 +99,9 @@ def rank_k_contains(a, k: int, z) -> bool:
         return False
     sig = svd(arr).sigma
     inner = float(sig[m + n - 2 * k]) if 2 * k > max(m, n) else 0.0
-    return inner - 1e-12 <= abs(complex(z)) <= float(sig[k - 1]) + 1e-12
+    z = complex(z)
+    # math.hypot gives inf where abs() of a finite z raises OverflowError
+    return inner - 1e-12 <= math.hypot(z.real, z.imag) <= float(sig[k - 1]) + 1e-12
 
 
 def hermitian_rank_interval(hm, k: int) -> Region:
@@ -354,7 +356,8 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
     more than a relative 1e-12.  Returns the first certifying restart in
     index order, else the lowest-index best pair; a residual at or below
     ``tol`` certifies the value, anything else is inconclusive.  A z that is
-    not finite raises ValueError before any decomposition.
+    not finite, or whose modulus exceeds the float range, raises ValueError
+    before any decomposition.
     """
     arr = as_matrix(a)
     m, n = arr.shape
@@ -363,8 +366,8 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
     if k > min(m, n):
         raise ValueError(f"need 1 <= k <= min(m, n) = {min(m, n)}, got {k}")
     value = z = complex(z)
-    if not np.isfinite(z):
-        raise ValueError("z must be finite")
+    if not math.isfinite(math.hypot(z.real, z.imag)):
+        raise ValueError("z must be finite, and so must its modulus")
     wide = m < n
     if wide:
         # Work on the adjoint so the exact step sees the taller side.

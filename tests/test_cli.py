@@ -101,6 +101,16 @@ class TestCompute:
         assert code == EXIT_PARSE
         assert not out.exists()
 
+    def test_json_entry_that_is_not_a_pair_of_numbers_is_parse_error(self, tmp_path, capsys):
+        # this file loaded as [[1+3j, 1+2j]] and exited 0
+        bad = tmp_path / "entries.json"
+        bad.write_text('{"rows": 1, "cols": 2, "data": [[true, "3"], [1, 2, 99]]}')
+        out = tmp_path / "r.json"
+        code = main(["compute", "--input", str(bad), "--set", "w", "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert not out.exists()
+        assert "entry 0 must be an [re, im] pair of numbers" in capsys.readouterr().err
+
     @pytest.mark.parametrize("set_name, flags", [("w", []), ("phik", ["--k", "1"])])
     def test_region_beyond_the_float_range_is_domain_error(self, tmp_path, capsys, set_name, flags):
         # sigma_1 of this matrix exceeds the largest float: the region file

@@ -75,6 +75,18 @@ class TestContainment:
         with pytest.raises(ValueError):
             region_contains(Disc(0j, 1.0), 0j, -1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [complex(1.7e308, 1.7e308), complex(-1.3e308, 1.3e308)],
+                             ids=["first-quadrant", "second-quadrant"])
+    def test_finite_value_whose_modulus_overflows(self, z):
+        # abs(z - c) raised OverflowError for every bounded kind
+        bounded = [Point(0j), Segment(-1 + 0j, 1j), Disc(0j, 1e308), Circle(1 + 0j, 1.0),
+                   Annulus(0j, 1.0, 2.0), Ellipse(-1 + 0j, 1 + 0j, 3.0),
+                   ConvexBoundary(disc_curve(0j, 1e308, 64))]
+        for region in bounded:
+            assert not region_contains(region, z, 1e-12), region
+        assert region_contains(Disc(0j, np.inf), z)
+
 
 class TestNormalization:
     def test_disc_radius_zero(self):

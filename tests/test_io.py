@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_complex
 from nrange.fov import fov_boundary
@@ -20,6 +22,7 @@ from nrange.geometry import (
 )
 from nrange.io import (
     MatrixParseError,
+    _matrix_from_json,
     load_matrix,
     load_region,
     parse_complex,
@@ -108,6 +111,56 @@ class TestMatrixFiles:
         path.write_text(json.dumps({"rows": rows, "cols": cols, "data": data}))
         with pytest.raises(MatrixParseError, match=message):
             load_matrix(path)
+
+    @pytest.mark.parametrize("data, index", [
+        ([[True, "3"], [1, 2, 99]], 0),
+        ([[1, 2], [1, 2, 99]], 1),
+        ([[1, 2], [False, 0]], 1),
+        ([["1", 2], [1, 2]], 0),
+        ([[1], [1, 2]], 0),
+        ([[1, 2], 5], 1),
+        ([[1, 2], {"re": 1, "im": 2}], 1),
+        ([[1, 2], None], 1),
+    ])
+    def test_json_entries_are_pairs_of_numbers(self, tmp_path, data, index):
+        # the first file loaded as [[1+3j, 1+2j]]: float() took the bool,
+        # the numeric string and the first two of three numbers
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"rows": 1, "cols": 2, "data": data}))
+        with pytest.raises(MatrixParseError, match=f"entry {index} must be an \\[re, im\\] pair"):
+            load_matrix(path)
+
+    def test_json_integer_beyond_the_float_range(self, tmp_path):
+        # float() of this integer raised a bare OverflowError
+        path = tmp_path / "m.json"
+        path.write_text('{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ', 0]]}')
+        with pytest.raises(MatrixParseError, match="finite"):
+            load_matrix(path)
+
+
+NUMBERS = st.one_of(st.integers(-10**6, 10**6), st.floats(-1e6, 1e6))
+NOT_NUMBERS = st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.lists(NUMBERS, max_size=2))
+ANY_PART = st.one_of(NUMBERS, NOT_NUMBERS)
+MALFORMED_ENTRIES = st.one_of(
+    NUMBERS,
+    NOT_NUMBERS.filter(lambda entry: not isinstance(entry, list)),
+    st.lists(NUMBERS, max_size=1),
+    st.lists(NUMBERS, min_size=3, max_size=4),
+    st.tuples(NOT_NUMBERS, ANY_PART).map(list),
+    st.tuples(ANY_PART, NOT_NUMBERS).map(list),
+    st.dictionaries(st.text(max_size=3), NUMBERS, max_size=2),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, 3), MALFORMED_ENTRIES, st.data())
+def test_malformed_json_entry_is_refused(rows, cols, entry, data):
+    index = data.draw(st.integers(0, rows * cols - 1))
+    entries = [[1.5, -2]] * (rows * cols)
+    entries[index] = entry
+    payload = json.loads(json.dumps({"rows": rows, "cols": cols, "data": entries}))
+    with pytest.raises(MatrixParseError, match=f"entry {index} must be"):
+        _matrix_from_json(payload)
 
 
 REGIONS = [

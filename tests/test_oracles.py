@@ -1,5 +1,8 @@
 import ast
+import contextlib
 import pathlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -160,6 +163,89 @@ class TestSamplerEquivalence:
         assert report.sup_abs == mc_rect_sup(WIDE_EXAMPLE, 100, 0, keep_points=True).sup_abs
 
 
+class TestSamplerThread:
+    """Blocks after the first are drawn on one helper thread, one block ahead."""
+
+    def test_concurrent_calls_match_sequential_ones(self):
+        # four callers, each with its own helper, on a shortened switch
+        # interval: a block overwritten while it is reduced changes the bits
+        a = rand_complex(np.random.default_rng(11), 5, 5)
+
+        def both(seed):
+            return (mc_rect_sup(a, 35_000, seed, keep_points=True), mc_fov_samples(a, 35_000, seed))
+
+        expected = {seed: both(seed) for seed in (1, 2, 3, 4)}
+        start, got = threading.Barrier(len(expected)), {}
+
+        def run(seed):
+            start.wait(timeout=60)
+            got[seed] = both(seed)
+
+        callers = [threading.Thread(target=run, args=(seed,)) for seed in expected]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for seed, reports in expected.items():
+            for report, want in zip(got[seed], reports):
+                assert report.sup_abs == want.sup_abs
+                assert np.array_equal(report.points, want.points)
+
+    @pytest.mark.parametrize("call, helpers, fails", [
+        (lambda: mc_rect_sup(SQUARE, 25_000, 0), 1, False),
+        (lambda: mc_fov_samples(SQUARE, 25_000, 0), 1, False),
+        (lambda: mc_rect_sup(SQUARE, BLOCK, 0), 0, False),
+        (lambda: mc_rect_sup(SQUARE, 0, 0), 0, True),
+        (lambda: mc_fov_samples(SQUARE, 25_000, -1), 0, True),
+    ], ids=["rect", "fov", "one-block", "bad-count", "bad-seed"])
+    def test_at_most_one_helper_and_none_outlives_the_call(self, monkeypatch, call, helpers, fails):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(oracles.threading, "Thread", Counted)
+        before = threading.active_count()
+        with pytest.raises(ValueError) if fails else contextlib.nullcontext():
+            call()
+        assert len(started) == helpers
+        assert threading.active_count() == before
+
+    def test_failed_draw_is_raised_by_the_caller(self, monkeypatch):
+        class Failing:
+            def __init__(self, seed):
+                self.rng, self.calls = make_rng(seed), 0
+
+            def standard_normal(self, *args, **kwargs):
+                # calls 1 and 2 draw block 0 on the caller; 3 is block 1's x
+                self.calls += 1
+                if self.calls == 3:
+                    raise MemoryError("no room for block 1")
+                return self.rng.standard_normal(*args, **kwargs)
+
+        make_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", Failing)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="block 1"):
+            mc_rect_sup(SQUARE, 25_000, 0)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("quadratic", [False, True], ids=["rect", "fov"])
+    def test_two_full_blocks_and_a_partial_one_keep_the_stream_order(self, quadratic):
+        a = rand_complex(np.random.default_rng(12), 4, 4 if quadratic else 3)
+        expected = _reference_forms(a, 25_000, 13, quadratic, BLOCK)
+        report = _sample(a, 25_000, 13, quadratic)
+        assert np.max(np.abs(report.points - expected)) <= 1e-15 * np.abs(a).max()
+
+
 def _peak_bytes(call):
     tracemalloc.start()
     try:
@@ -279,6 +365,8 @@ def test_oracles_import_nothing_from_region_modules():
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import of {node.module!r}"
             imported.add(node.module or "")
-    allowed = {"numpy", "dataclasses", "typing", "__future__"}
+    assert not any(name.split(".")[0] == "nrange" for name in imported), imported
+    allowed = {"numpy", "dataclasses", "typing", "__future__", "threading"}
     assert imported <= allowed, imported

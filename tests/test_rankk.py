@@ -827,3 +827,24 @@ def test_non_finite_values_agree_on_every_route(monkeypatch, z):
     for k in (1, 2, 3):
         with pytest.raises(ValueError, match="z must be finite"):
             find_witness(a, k, z)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z", [complex(1.7e308, 1.7e308), complex(-1.3e308, 1.3e308)],
+                         ids=["first-quadrant", "second-quadrant"])
+def test_finite_value_whose_modulus_overflows(monkeypatch, z):
+    # abs(z) raised OverflowError out of all three routes
+    a = rand_complex(np.random.default_rng(5), 4, 3)
+    for k in (1, 2, 3):
+        assert not rank_k_contains(a, k, z)
+        assert not region_contains(rank_k_region(a, k).region, z, 1e-12)
+
+    def never(*args, **kwargs):
+        raise AssertionError("decomposed a matrix for a value beyond the float range")
+
+    monkeypatch.setattr(np.linalg, "svd", never)
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError, match="z must be finite, and so must its modulus"):
+            find_witness(a, k, z)
+    with pytest.raises(ValueError, match="modulus"):
+        find_witness(np.eye(3), 1, z)
