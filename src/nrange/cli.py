@@ -90,6 +90,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# every set ends in a finiteness check that exits 4, so numpy's overflow
+# warnings would only add raw lines to stderr; the sweep's threads run in a
+# copy of this context
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_compute(args) -> int:
     name = args.set_name
     for flag, value in (("--k", args.k), ("--H", args.frame), ("--B", args.comparison)):

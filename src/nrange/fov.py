@@ -56,7 +56,7 @@ def _solve(arr: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     rot = phases[:, None, None] * arr[None]
     herm = (rot + rot.conj().swapaxes(-1, -2)) / 2
     if not np.isfinite(herm).all():
-        raise ValueError("matrix entries must be finite")
+        raise ValueError("the Hermitian part is not finite at this scale; scale the matrix down")
     return np.linalg.eigh(herm)
 
 

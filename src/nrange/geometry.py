@@ -170,13 +170,15 @@ def _modulus(w: complex) -> float:
 
 
 def _segment_distance(z: complex, a: complex, b: complex) -> float:
-    # Python complex products overflow to inf without a numpy warning
+    # projected onto the unit direction, so no length is squared; Python
+    # complex products overflow to inf without a numpy warning
     d = complex(b - a)
-    length2 = _modulus(d) ** 2
-    if length2 == 0.0:
+    length = _modulus(d)
+    if length == 0.0:
         return _modulus(z - a)
-    t = float(np.clip((complex(z - a) * d.conjugate()).real / length2, 0.0, 1.0))
-    return _modulus(z - (a + t * d))
+    unit = d / length
+    t = float(np.clip((complex(z - a) * unit.conjugate()).real, 0.0, length))
+    return _modulus(z - (a + t * unit))
 
 
 def region_contains(region: Region, z: complex, tol: float = 0.0) -> bool:

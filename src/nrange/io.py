@@ -55,7 +55,7 @@ class MatrixParseError(ValueError):
 _COMPLEX = re.compile(
     r"""^\s*
     (?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?
-    (?P<im>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)?
+    (?P<im>[+-](?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?)?
     (?P<unit>i)?
     \s*$""",
     re.VERBOSE,
@@ -63,27 +63,18 @@ _COMPLEX = re.compile(
 
 
 def parse_complex(token: str) -> complex:
-    """Parse a literal like ``3``, ``4i``, ``6+1i``, ``-3-6i`` or ``-i``."""
+    """Parse a literal like ``3``, ``4i``, ``6+1i``, ``-3-6i`` or ``-i``.
+
+    ``_COMPLEX`` is the grammar: an exponent needs a mantissa before it.
+    """
     text = "".join(token.split())
     if not text:
         raise MatrixParseError("empty complex literal")
     match = _COMPLEX.match(text)
-    if not match or (match.group("re") is None and match.group("unit") is None):
+    # an imaginary part needs the unit; a literal needs a number or the unit
+    if not match or (match["im"] and not match["unit"]) or not (match["re"] or match["unit"]):
         raise MatrixParseError(f"bad complex literal: {token!r}")
-    re_part, im_part, unit = match.group("re"), match.group("im"), match.group("unit")
-    if unit is None:
-        if im_part is not None:
-            raise MatrixParseError(f"bad complex literal: {token!r}")
-        return complex(float(re_part), 0.0)
-    if im_part is None:
-        # the whole numeric part belongs to the imaginary unit
-        if re_part is None:
-            return complex(0.0, 1.0)
-        return complex(0.0, float(re_part))
-    imag = 1.0 if im_part in "+-" else float(im_part)
-    if im_part.startswith("-") and im_part in "+-":
-        imag = -1.0
-    return complex(float(re_part) if re_part else 0.0, imag)
+    return complex(text.replace("i", "j"))
 
 
 def _matrix_from_json(payload: dict) -> np.ndarray:

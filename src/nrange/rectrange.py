@@ -1,22 +1,24 @@
 """The circular range of a rectangular matrix and its norm-based relatives.
 
 For a nonscalar m-by-n matrix the set of bilinear values y* A x over unit
-vectors is the closed disc of radius ||A||_2 around the origin.  This module
-computes that disc, produces explicit witness pairs for boundary and interior
-values, and covers the norm-based range discs taken against a comparison
-matrix B with ||B||_F >= 1.
+vectors is the closed disc of radius ||A||_2 around the origin: the rank-1
+range of ``rankk``.  This module takes that disc and the witness pairs of its
+values from rankk's closed forms at k = 1, and covers the norm-based range
+discs taken against a comparison matrix B with ||B||_F >= 1.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Circle, Disc, Region, default_angles, normalize_region
+from .geometry import Disc, Region, default_angles, normalize_region
 from .linalg import as_matrix, frobenius_inner, require_ints, require_isometry, sigma_max, svd
+from .rankk import _start_frames, rank_k_region
 
 __all__ = [
     "CenterBound",
@@ -58,22 +60,19 @@ def _unit_vector(v, dim: int, name: str) -> np.ndarray:
 
 
 def range_disc(a) -> Region:
-    """Closed-form region of the bilinear range: the disc of radius sigma_1.
+    """The bilinear range as the rank-1 range ``rank_k_region(a, 1)``: the disc of radius sigma_1.
 
     The all-zero matrix degrades to ``Point(0)``.  A 1x1 matrix is the one
-    shape where the set is the circle |z| = |a| rather than the filled disc;
-    that case returns ``Circle`` and emits a UserWarning.
+    shape where the set is the circle |z| = |a|; that case emits a UserWarning.
     """
     arr = as_matrix(a)
-    top = float(svd(arr).sigma[0])
     if arr.shape == (1, 1):
         warnings.warn(
             "1x1 input: the range is the circle |z| = |a|, not a filled disc",
             UserWarning,
             stacklevel=2,
         )
-        return normalize_region(Circle(0j, top))
-    return normalize_region(Disc(0j, top))
+    return rank_k_region(arr, 1).region
 
 
 def range_value(a, x, y) -> complex:
@@ -84,61 +83,53 @@ def range_value(a, x, y) -> complex:
     return complex(yv.conj() @ arr @ xv)
 
 
-def boundary_witness(a, theta: float) -> WitnessVectors:
-    """Unit pair attaining the extreme value sigma_1 * exp(i theta).
+def _rank_one_witness(a, z=None, theta: float = 0.0) -> WitnessVectors:
+    """The rank-1 certificate of z, or of sigma_1 exp(i theta) when z is None.
 
-    Built from the top singular pair with the phase carried by y; the zero
-    matrix has no boundary witness.
+    That is ``find_witness(a, 1, z)``'s closed-form pair: ``rankk._start_frames``
+    at k = 1 on the full SVD of the taller side (the adjoint of a wide a, with
+    conj(z)).  ValueError where it finds no pair: |z| past sigma_1 (1 + 1e-10),
+    or a 1x1 matrix's z off its circle.
     """
     arr = as_matrix(a)
-    dec = svd(arr)
-    if dec.sigma[0] == 0.0:
-        raise ValueError("the zero matrix has no boundary witness")
-    x = dec.right[:, 0]
-    y = np.exp(-1j * theta) * dec.left[:, 0]
+    wide = arr.shape[0] < arr.shape[1]
+    tall = arr.conj().T if wide else arr
+    u, sig, vh = np.linalg.svd(tall, full_matrices=True)
+    top = float(sig[0])
+    if z is None:
+        if top == 0.0:
+            raise ValueError("the zero matrix has no boundary witness")
+        z = top * np.exp(1j * theta)
+    z = complex(z)
+    # math.hypot gives inf where abs() of a finite z raises OverflowError
+    r = math.hypot(z.real, z.imag)
+    if not math.isfinite(r):
+        raise ValueError("z must be finite, and so must its modulus")
+    frame, left = _start_frames(sig, u, vh.conj().T, *tall.shape, 1, z.conjugate() if wide else z)
+    if left is None:
+        if arr.shape == (1, 1):
+            raise ValueError(f"|z| = {r:.6g} is off the 1x1 range, the circle |z| = {top:.6g}")
+        raise ValueError(f"|z| = {r:.6g} exceeds the range radius {top:.6g}")
+    x, y = (left[:, 0], frame[:, 0]) if wide else (frame[:, 0], left[:, 0])
     return WitnessVectors(x=x, y=y, value=complex(y.conj() @ arr @ x))
 
 
-def _orthogonal_unit(u: np.ndarray) -> np.ndarray:
-    """Deterministic unit vector orthogonal to the unit vector u (len >= 2)."""
-    j = int(np.argmin(np.abs(u)))
-    v = np.zeros_like(u)
-    v[j] = 1.0
-    v -= u * np.conj(u[j])
-    return v / np.linalg.norm(v)
+def boundary_witness(a, theta: float) -> WitnessVectors:
+    """Unit pair attaining the extreme value sigma_1 * exp(i theta): its rank-1 certificate.
+
+    The zero matrix has no boundary witness.
+    """
+    return _rank_one_witness(a, theta=theta)
 
 
 def interior_witness(a, z) -> WitnessVectors:
     """Unit pair whose bilinear value equals any z with |z| <= sigma_1.
 
-    Mixes the image-aligned direction with a deterministic orthogonal
-    complement; a single-row matrix is handled through the adjoint with the
-    roles of x and y swapped.
+    The rank-1 certificate of z, bit for bit the pair ``find_witness(a, 1,
+    z)`` builds in closed form; a 1x1 matrix has one for z on its circle
+    |z| = |a| when a is not zero.
     """
-    arr = as_matrix(a)
-    m, n = arr.shape
-    if m == 1 and n == 1:
-        raise ValueError("needs at least two rows or columns")
-    z = complex(z)
-    if m == 1:
-        flipped = interior_witness(arr.conj().T, np.conj(z))
-        return WitnessVectors(x=flipped.y, y=flipped.x, value=complex(np.conj(flipped.value)))
-    dec = svd(arr)
-    top = float(dec.sigma[0])
-    if abs(z) > top + 1e-9:
-        raise ValueError(f"|z| = {abs(z):.6g} exceeds the range radius {top:.6g}")
-    if top == 0.0:
-        x = np.zeros(n, dtype=complex)
-        y = np.zeros(m, dtype=complex)
-        x[0] = y[0] = 1.0
-        return WitnessVectors(x=x, y=y, value=0j)
-    x = dec.right[:, 0]
-    image_dir = dec.left[:, 0]
-    ortho = _orthogonal_unit(image_dir)
-    c = min(abs(z) / top, 1.0)
-    phase = z / abs(z) if z != 0 else 1.0
-    y = np.conj(phase) * c * image_dir + np.sqrt(max(0.0, 1.0 - c * c)) * ortho
-    return WitnessVectors(x=x, y=y, value=complex(y.conj() @ arr @ x))
+    return _rank_one_witness(a, z)
 
 
 def compression_radius(a, left, right) -> float:

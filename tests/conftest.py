@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# one deterministic profile for every property test: the same examples on
+# every run, no example database, no per-example deadline
+settings.register_profile("nrange", derandomize=True, database=None, deadline=None)
+settings.load_profile("nrange")
 
 
 @pytest.fixture

@@ -90,6 +90,16 @@ class TestCompute:
         code = main(["compute", "--input", str(bad), "--set", "w", "--out", str(out)])
         assert code == EXIT_PARSE
 
+    def test_exponent_without_mantissa_is_parse_error(self, tmp_path, capsys):
+        # this file exited 4 with "could not convert string to float: '+e8'"
+        bad = tmp_path / "exponent.csv"
+        bad.write_text("1,2\n1+e8i, 2\n")
+        out = tmp_path / "r.json"
+        code = main(["compute", "--input", str(bad), "--set", "w", "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == "error: bad complex literal: '1+e8i'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("set_name, flags", [("w", []), ("fov", []), ("phik", ["--k", "1"]),
                                                  ("wl", [])])
     def test_malformed_json_header_is_parse_error(self, tmp_path, set_name, flags):

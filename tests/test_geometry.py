@@ -55,6 +55,15 @@ class TestContainment:
         assert region_contains(seg, 1 + 0.1j, 0.1 + 1e-12)
         assert not region_contains(seg, 3 + 0j, 0.5)
 
+    def test_segment_longer_than_a_squared_float(self):
+        # the squared length 1e400 raised OverflowError(34)
+        seg = Segment(0j, 1e200 + 0j)
+        assert region_contains(seg, 1 + 0j)
+        assert region_contains(seg, 5e199 + 1e-12j, 1e-12)
+        assert not region_contains(seg, -1 + 0j, 0.5)
+        assert region_contains(Segment(-1e200j, 1e200j), 1e189 + 1e150j, 1e189)
+        assert not region_contains(Segment(-1e200j, 1e200j), 1e190 + 0j, 1e189)
+
     def test_empty_and_point(self):
         assert not region_contains(Empty(), 0j, 10.0)
         assert region_contains(Point(1j), 1j)

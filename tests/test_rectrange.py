@@ -5,6 +5,7 @@ from conftest import rand_complex, rand_unit
 from nrange.geometry import Circle, Disc, Point, default_angles, normalize_region
 from nrange.linalg import random_isometry, sigma_max, svd
 from nrange.oracles import mc_rect_sup
+from nrange.rankk import find_witness, rank_k_region
 from nrange.rectrange import (
     NormHypothesisError,
     _norm_discs,
@@ -162,6 +163,75 @@ class TestWitnesses:
     def test_interior_witness_rejects_outside(self):
         with pytest.raises(ValueError, match="exceeds"):
             interior_witness(WIDE_EXAMPLE, 2 * SIGMA1)
+
+
+SHAPES = [(1, 1), (1, 4), (4, 1), (2, 3), (3, 2), (5, 5), (6, 3)]
+
+
+class TestRankOneCertificate:
+    """The bilinear range is the rank-1 range, and its witnesses the rank-1 certificate."""
+
+    @pytest.mark.filterwarnings("ignore:1x1 input")
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-12, 1.0, 1e12, 1e150, 1e300])
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_range_disc_is_rank_k_region_at_k1(self, rng, shape, scale):
+        a = rand_complex(rng, *shape) * scale
+        for arr in (a, np.zeros(shape), a.conj().T):
+            assert repr(range_disc(arr)) == repr(rank_k_region(arr, 1).region)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_interior_witness_is_find_witness_pair(self, rng, shape):
+        a = rand_complex(rng, *shape)
+        top = sigma_max(a)
+        phase = np.exp(0.7j)
+        values = [top * phase] if shape == (1, 1) else [0j, 0.4 * top * phase, top * phase,
+                                                        top * (1 - 1e-13) * phase]
+        for z in values:
+            wit = interior_witness(a, z)
+            pair = find_witness(a, 1, z)
+            assert pair.residual <= 1e-8 and pair.iterations == 1
+            assert np.array_equal(wit.x, pair.right[:, 0]) and np.array_equal(wit.y, pair.left[:, 0])
+            assert abs(wit.value - z) <= 1e-12 * top
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_boundary_witness_attains_sigma1(self, rng, shape):
+        a = rand_complex(rng, *shape)
+        top = sigma_max(a)
+        for theta in default_angles(12):
+            wit = boundary_witness(a, theta)
+            assert abs(np.linalg.norm(wit.x) - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(wit.y) - 1.0) <= 1e-12
+            assert abs(abs(wit.value) - top) <= 1e-12 * top
+            assert abs(wit.value - top * np.exp(1j * theta)) <= 1e-12 * top
+
+    @pytest.mark.parametrize(
+        "a, z, message",
+        [
+            (WIDE_EXAMPLE, SIGMA1 * (1 + 1e-9), "exceeds"),
+            (np.eye(2), complex(1.7e308, 1.7e308), "modulus"),
+            (np.eye(2), complex(np.nan, 0.0), "finite"),
+            (np.array([[3 + 4j]]), 4.0, "circle"),
+            (np.array([[3 + 4j]]), 0j, "circle"),
+        ],
+        ids=["past-the-band", "modulus-overflows", "nan", "1x1-inside", "1x1-origin"],
+    )
+    def test_no_pair_is_value_error(self, a, z, message):
+        # interior_witness(np.eye(2), complex(1.7e308, 1.7e308)) raised OverflowError
+        with pytest.raises(ValueError, match=message):
+            interior_witness(a, z)
+
+    def test_band_is_relative(self):
+        for scale in (1e-300, 1.0, 1e300):
+            a = WIDE_EXAMPLE * scale
+            top = sigma_max(a)
+            assert interior_witness(a, top * (1 + 1e-11)).value == pytest.approx(top, rel=1e-10)
+            with pytest.raises(ValueError, match="exceeds"):
+                interior_witness(a, top * (1 + 1e-9))
+
+    def test_scalar_witness_on_its_circle(self):
+        wit = interior_witness(np.array([[3 + 4j]]), -5j)
+        assert wit.value == pytest.approx(-5j, abs=1e-15)
+        assert wit.x.shape == wit.y.shape == (1,)
 
 
 class TestCompression:
