@@ -156,6 +156,17 @@ def _frames(b: np.ndarray, z: complex, near_origin: bool) -> np.ndarray:
     direction for every strictly larger one.  Otherwise the polar factor of
     b conj(z), which is U_k V* conj(z)/|z| on the same SVD.
 
+    When no row's smallest singular value reaches |z| (relative 1e-10) and
+    the origin cases below cannot arise, every row takes the polar factor,
+    and the stack returns it at once: the same product the general route
+    forms for a polar row, so the frames are bit for bit the same.  That is
+    every half-step of a search for |z| > sigma_k(A), since interlacing
+    keeps sigma_k(A N) <= sigma_k(A).  The general route's isometry repair
+    is not needed there: U_k e^{i phi} V* is a product of LAPACK's
+    orthonormal factors, so ||F* F - I|| is O(k eps), far below the repair's
+    1e-12; the repair stays for stacks with an exact row, whose complement
+    corrections can lose orthonormality.
+
     Only when ``near_origin`` (|z| may be negligible against a row) do the
     origin cases arise: there the exact frame spans left null directions of
     b when it has k of them, and the least-aligned directions replace the
@@ -165,6 +176,11 @@ def _frames(b: np.ndarray, z: complex, near_origin: bool) -> np.ndarray:
     u, s, vh = np.linalg.svd(b)
     r = abs(z)
     zbar = np.conj(z)
+    exact = s[:, -1] >= r * (1.0 - 1e-10)
+    # count_nonzero is a fraction of the cost of .all()/.any() on masks
+    # this small, and a search makes several such tests per half-step
+    if not near_origin and not np.count_nonzero(exact):
+        return (u[:, :, :k] * (zbar / r)) @ vh
     # only infeasible or origin rows divide by a zero singular value, and
     # their quotients are replaced below
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -172,7 +188,6 @@ def _frames(b: np.ndarray, z: complex, near_origin: bool) -> np.ndarray:
         defect = 1.0 - (r / s) ** 2
         phase = zbar / r
     need = defect > 1e-12
-    exact = s[:, -1] >= r * (1.0 - 1e-10)
     if m - k < k:
         # descending singular values make the columns that need a
         # complement direction a prefix, which must end before column m - k
@@ -181,8 +196,6 @@ def _frames(b: np.ndarray, z: complex, near_origin: bool) -> np.ndarray:
         scale = np.maximum(s[:, 0], 1.0)
         origin = r <= 1e-14 * scale
         exact &= ~origin
-    # count_nonzero is a fraction of the cost of .all()/.any() on masks
-    # this small, and a search makes several such tests per half-step
     if np.count_nonzero(exact) < len(b):
         coef[~exact] = phase
         need &= exact[:, None]
@@ -217,10 +230,11 @@ def _start_frames(sig, u, v, m: int, n: int, k: int, z: complex):
     orthonormal and the columns of A N orthogonal.  Column j of M is the
     unit image of column j times conj(z)/d_j, d_j its norm, plus
     sqrt(1 - |z|^2/d_j^2) times a complement direction of its own: an unused
-    u_i or a mix's orthogonal partner.  As in ``_frames``, M exists when no
-    d_j falls below |z| (relative 1e-10) and there is a complement direction
-    for every d_j above it (1 - |z|^2/d_j^2 > 1e-12); otherwise, or when
-    mixes run out of indices, M is None.
+    u_i or a mix's orthogonal partner.  An image of norm 0 (then z = 0)
+    takes its own unit direction and no complement.  As in ``_frames``, M
+    exists when no d_j falls below |z| (relative 1e-10) and there is a
+    complement direction for every d_j above it (1 - |z|^2/d_j^2 > 1e-12);
+    otherwise, or when mixes run out of indices, M is None.
     """
     pins = max(0, 2 * k - m)
     plain = k - pins
@@ -268,11 +282,16 @@ def _start_frames(sig, u, v, m: int, n: int, k: int, z: complex):
     if min(norms) < r * (1.0 - 1e-10):
         return frame, None
     # within 1e-12 of |z| a column takes the phase of conj(z) alone, which
-    # keeps M an isometry exactly; an image of norm 0 needs z = 0
+    # keeps M an isometry exactly
     phase = z.conjugate() / r if r else 0j
     coef, need, weights = [], [], []
     for j, d in enumerate(norms):
-        ratio = r / d if d else 0.0
+        if not d:
+            # an image of norm 0 needs z = 0, which its own unit direction
+            # meets with no complement direction
+            coef.append(1.0)
+            continue
+        ratio = r / d
         defect = (1.0 - ratio) * (1.0 + ratio)
         if defect > 1e-12:
             need.append(j)
@@ -300,6 +319,7 @@ def _descend(arr, z, right, near_origin, max_iter, tol):
     right frames, residual and number of passes of every row, in row order.
     """
     rows = np.arange(len(right))
+    adj, zbar = arr.conj().T, z.conjugate()
     best_left = best_right = None
     best_res, stall = np.inf, 0
     finished = []
@@ -329,7 +349,7 @@ def _descend(arr, z, right, near_origin, max_iter, tol):
             keep = ~done
             rows, left, best_left, best_right, best_res, stall = (
                 part[keep] for part in (rows, left, best_left, best_right, best_res, stall))
-        right = _frames(arr.conj().T @ left, z.conjugate(), near_origin)
+        right = _frames(adj @ left, zbar, near_origin)
     if len(finished) == 1:
         return finished[0][1:]
     order = np.argsort(np.concatenate([part[0] for part in finished]))

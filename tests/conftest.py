@@ -21,3 +21,17 @@ def rand_complex(rng, m, n):
 def rand_unit(rng, n):
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shape of the argument of every np.linalg.svd call made after this fixture."""
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return real_svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls

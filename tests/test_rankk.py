@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_complex
 from nrange.geometry import (
@@ -9,6 +11,7 @@ from nrange.linalg import isometry_defect, random_isometries, random_isometry, s
 from nrange.rankk import (
     ProjectorBoundReport,
     _descend,
+    _frames,
     _start_frames,
     find_witness,
     hermitian_rank_interval,
@@ -695,20 +698,20 @@ class TestClosedFormCertificate:
             pair = (right, left) if wide else (left, right)
             assert np.array_equal(wit.left, pair[0]) and np.array_equal(wit.right, pair[1])
 
-    def test_a_member_costs_one_svd(self, monkeypatch):
-        cases = member_cases()
-        calls = []
-        real_svd = np.linalg.svd
-
-        def counting_svd(x, *args, **kwargs):
-            calls.append(np.shape(x))
-            return real_svd(x, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        for a, k, z in cases:
-            calls.clear()
+    def test_a_member_costs_one_svd(self, svd_calls):
+        for a, k, z in member_cases():
+            svd_calls.clear()
             assert find_witness(a, k, z).residual <= 1e-8
-            assert calls == [tuple(sorted(a.shape, reverse=True))]
+            assert svd_calls == [tuple(sorted(a.shape, reverse=True))]
+
+    @pytest.mark.parametrize("shape,k", [((1, 1), 1), ((2, 2), 2), ((3, 2), 2), ((3, 3), 3)])
+    def test_zero_images_take_their_own_direction(self, svd_calls, shape, k):
+        # an image of norm 0 asked for a complement direction, so where none
+        # was left the closed form failed and the descent certified z = 0
+        wit = find_witness(np.zeros(shape), k, 0)
+        assert svd_calls == [shape]
+        assert (wit.residual, wit.restarts_used, wit.iterations) == (0.0, 1, 1)
+        assert isometry_defect(wit.left) <= 1e-15 and isometry_defect(wit.right) <= 1e-15
 
 
 # (shape, k, singular-value index, |z| as a multiple of it, restarts, max_iter,
@@ -717,7 +720,11 @@ class TestClosedFormCertificate:
 # non-members, wide shapes, z = 0 and max_iter cut-offs.  Non-member rows were
 # recorded before the search ran every restart, restart 0 included, from pass
 # 1 of one stack; member rows when the closed-form pair replaced the descent's
-# first pass.
+# first pass.  The last three rows were recorded before a stack in which no
+# row can take the exact frame returned its polar factors at once: a wide
+# k = 3 value outside the disc and a k = 1 one at 8 x 6, where every
+# half-step is polar, and a value in the hole of an 8 x 6 circle, where
+# stacks mix exact and polar rows.
 WITNESS_RESULTS = [
     ((5, 3), 2, 1, 0.6, 20, 500, '0x1.326fc2ba228fdp-49', 1, 1),
     ((5, 3), 2, 1, 1.2, 20, 500, '0x1.1194a0d6fa472p+0', 4, 20),
@@ -732,6 +739,9 @@ WITNESS_RESULTS = [
     ((5, 3), 2, 0, 1.2, 5, 3, '0x1.d85ced11d1c19p+1', 3, 5),
     ((4, 3), 2, 1, 1.3, 3, 1, '0x1.221adb2273b99p+0', 1, 3),
     ((1, 1), 1, 0, 1.0, 20, 500, '0x1.0000000000000p-52', 1, 1),
+    ((3, 6), 3, 2, 1.2, 20, 500, '0x1.21e8cce86f609p+1', 4, 20),
+    ((8, 6), 1, 0, 1.2, 20, 500, '0x1.34388ffeb2e5ep+0', 4, 20),
+    ((8, 6), 5, 4, 0.97, 20, 500, '0x1.e5428e0f5fc92p+1', 4, 20),
 ]
 
 
@@ -742,6 +752,49 @@ def test_find_witness_matches_recorded_results():
         z = factor * float(svd(a).sigma[index]) * np.exp(0.7j)
         wit = find_witness(a, k, z, seed=4, restarts=restarts, max_iter=max_iter)
         assert (wit.residual.hex(), wit.iterations, wit.restarts_used) == (residual, iterations, used)
+
+
+# (WITNESS_RESULTS row, np.linalg.svd calls of its find_witness call), recorded
+# with the rows: one SVD of A, then one per half-step of every stack still
+# running.  No isometry repair fires on these searches, so a repair or any
+# other extra decomposition changes a count.
+NONMEMBER_SVD_CALLS = [(1, 26), (3, 14), (5, 8), (8, 8), (13, 8), (14, 104), (15, 8)]
+
+
+def test_non_member_searches_make_recorded_svd_calls(svd_calls):
+    for row, count in NONMEMBER_SVD_CALLS:
+        shape, k, index, factor, restarts, max_iter = WITNESS_RESULTS[row][:6]
+        a = rand_complex(np.random.default_rng(100 + row), *shape)
+        z = factor * float(svd(a).sigma[index]) * np.exp(0.7j)
+        svd_calls.clear()
+        assert find_witness(a, k, z, seed=4, restarts=restarts, max_iter=max_iter).residual > 1e-8
+        assert len(svd_calls) == count, row
+
+
+@settings(max_examples=300)
+@given(k=st.integers(1, 6), extra=st.integers(0, 3), rows=st.integers(1, 4),
+       zero_columns=st.integers(0, 6), low_rank=st.booleans(), exponent=st.integers(-500, 500),
+       ratio=st.floats(1.0 + 1e-9, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_all_polar_stacks_are_isometries(k, extra, rows, zero_columns, low_rank, exponent,
+                                         ratio, seed):
+    # a stack in which no row can take the exact frame returns its polar
+    # factors with no isometry repair: they must stay far inside the
+    # repair's 1e-12, at any scale and for images of any rank
+    rng = np.random.default_rng(seed)
+    m = k + extra
+    b = rand_complex(rng, rows * m, k).reshape(rows, m, k)
+    if low_rank and k > 1:
+        b = b[:, :, :1] @ rand_complex(rng, 1, k)
+    b[:, :, :min(zero_columns, k)] = 0.0
+    b *= 2.0 ** exponent
+    u, s, vh = np.linalg.svd(b)
+    top = max(float(s[:, -1].max()), 2.0 ** exponent * 1e-3)
+    z = complex(ratio * top * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+    assert (s[:, -1] < abs(z) * (1.0 - 1e-10)).all()
+    frame = _frames(b, z, False)
+    assert np.array_equal(frame, (u[:, :, :k] * (np.conj(z) / abs(z))) @ vh)
+    defect = frame.conj().swapaxes(1, 2) @ frame - np.eye(k)
+    assert np.sqrt((np.abs(defect) ** 2).sum(axis=(1, 2))).max() <= 1e-13
 
 
 def padded(*diagonal, rows):

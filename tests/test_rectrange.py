@@ -233,6 +233,15 @@ class TestRankOneCertificate:
         assert wit.value == pytest.approx(-5j, abs=1e-15)
         assert wit.x.shape == wit.y.shape == (1,)
 
+    def test_zero_scalar_has_its_origin_witness(self):
+        # the 1x1 zero matrix's range is its circle |z| = 0, yet z = 0 raised
+        # "off the 1x1 range": the zero image asked for a complement direction
+        wit = interior_witness(np.zeros((1, 1)), 0)
+        assert wit.value == 0
+        assert abs(wit.x[0]) == abs(wit.y[0]) == 1.0
+        with pytest.raises(ValueError, match="circle"):
+            interior_witness(np.zeros((1, 1)), 1e-300)
+
 
 class TestCompression:
     def test_top_pair_attains(self):
@@ -295,6 +304,55 @@ class TestNormRange:
         with pytest.raises(NormHypothesisError, match="1"):
             norm_range_disc(WIDE_EXAMPLE, 0.5 * g / np.linalg.norm(g))
 
+    def test_disc_is_exact_at_extreme_scales(self):
+        # ||B||_F**2 overflowed: against B * 1e300 the radius read 2.4405, not
+        # the 2.3894 that the direction of B fixes; A * 2**900 read an
+        # infinite radius and A * 2**-900 a point
+        draws = np.random.default_rng(0)
+        a = draws.standard_normal((2, 3)) + 1j * draws.standard_normal((2, 3))
+        b = draws.standard_normal((2, 3)) + 1j * draws.standard_normal((2, 3))
+        assert norm_range_disc(a, 1e300 * b).radius == pytest.approx(2.3893868787593076, rel=1e-14)
+        # past B * 2**60 the slack 1 - ||B||_F**-2 rounds to 1, so the disc
+        # only scales from there
+        ref = norm_range_disc(a, 2.0 ** 60 * b)
+        for ea in (-900, 0, 900):
+            for eb in (60, 300, 900):
+                disc = norm_range_disc(2.0 ** ea * a, 2.0 ** eb * b)
+                shift = ea - eb + 60
+                assert disc.center.real == np.ldexp(ref.center.real, shift)
+                assert disc.center.imag == np.ldexp(ref.center.imag, shift)
+                assert disc.radius == np.ldexp(ref.radius, ea)
+        with pytest.raises(NormHypothesisError, match="got 4.03705e-271"):
+            norm_range_disc(a, 2.0 ** -900 * b)
+        # ||B||_F past the float range leaves the slack at 1, as at 2**60
+        ones = np.ones((2, 3))
+        assert norm_range_disc(a, 1.5e308 * ones).radius == pytest.approx(
+            norm_range_disc(a, 2.0 ** 60 * ones).radius, rel=1e-15)
+
+    def test_subnormal_matrices_keep_their_disc_and_refusal(self):
+        # the squares of subnormal parts underflow: such an A read a point,
+        # and such a B was refused with its norm read as 0; rescaling them
+        # takes a power of two past 2**1023, which must not overflow
+        draws = np.random.default_rng(0)
+        b = draws.standard_normal((2, 3)) + 1j * draws.standard_normal((2, 3))
+        ones = np.ones((2, 3))
+        ref = norm_range_disc(ones, b)
+        for tiny in (1e-310, 1e-320):
+            disc = norm_range_disc(tiny * ones, b)
+            # within one rounding of a subnormal product
+            assert isinstance(disc, Disc)
+            assert disc.radius == pytest.approx(tiny * ref.radius, rel=1e-14, abs=1e-323)
+            assert disc.center.real == pytest.approx(tiny * ref.center.real, rel=1e-14, abs=1e-323)
+            assert disc.center.imag == pytest.approx(tiny * ref.center.imag, rel=1e-14, abs=1e-323)
+            with pytest.raises(NormHypothesisError, match="got 2.449"):
+                norm_range_disc(b, tiny * ones)
+
+    def test_small_parts_survive_a_large_neighbour(self):
+        # the square of 1e300 overflowed, so the radius read nan; rescaling
+        # stops at 2**±500, where 1e-30 keeps every bit (dividing by the
+        # power of two at 1e300 itself would flush it to 0)
+        assert norm_range_disc([[1e300, 1e-30]], [[0, 1]]) == Point(1e-30 + 0j)
+
     def test_union_report(self):
         report = norm_range_union(WIDE_EXAMPLE, 2000, 77)
         assert report.containment_violations == 0
@@ -354,6 +412,18 @@ class TestNormRange:
             report = norm_range_union(a, 200, seed)
             assert report.sup_abs == reach.max()
             assert report.containment_violations == np.count_nonzero(reach > frob + 1e-9)
+
+    def test_union_at_extreme_scales_of_a(self):
+        # ||A||_F underflowed to 0 at 2**-900, dropping the rotated copies, and
+        # overflowed at 2**900; 1/||A||_F overflowed at 1e-310
+        draws = np.random.default_rng(0)
+        a = draws.standard_normal((2, 3)) + 1j * draws.standard_normal((2, 3))
+        ref = norm_range_union(a, 50, 1)
+        for scale in (2.0**-900, 1e-310, 2.0**900):
+            report = norm_range_union(scale * a, 50, 1)
+            assert report.n_discs == ref.n_discs == 82
+            assert report.frobenius_radius == pytest.approx(scale * ref.frobenius_radius, rel=1e-14)
+            assert report.sup_abs == pytest.approx(scale * ref.sup_abs, rel=1e-14)
 
     def test_union_containment_across_random_matrices(self, rng):
         for trial in range(20):
