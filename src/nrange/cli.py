@@ -25,7 +25,7 @@ from .rankk import rank_k_region
 from .rectrange import norm_range_disc, range_disc
 from .reference import TALL_EXAMPLE, TALL_EXAMPLE_FRAME, WIDE_EXAMPLE
 from .svgplot import render_regions
-from .verify import SUITE_NAMES, run_suites
+from .verify import SUITE_NAMES, require_tol, run_suites
 
 __all__ = ["main", "run"]
 
@@ -100,6 +100,9 @@ def _cmd_compute(args) -> int:
         if value is not None and flag != _SETS[name]:
             print(f"error: --set {name} does not take {flag}", file=sys.stderr)
             return EXIT_USAGE
+    if name in ("fov", "wl", "wh") and args.angles < 8:
+        print(f"error: --angles must be >= 8, got {args.angles}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         matrix = load_matrix(args.input)
         m, n = matrix.shape
@@ -183,6 +186,11 @@ def _cmd_verify(args) -> int:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     seed = _resolve_seed(args.seed)
     if seed is None:
+        return EXIT_USAGE
+    try:
+        require_tol(args.tol)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     results = run_suites(names, seed, args.tol)
     failed = [r for r in results if not r.passed]

@@ -72,7 +72,7 @@ class BoundaryCurve:
         object.__setattr__(self, "points", points)
 
     def scale(self) -> float:
-        return max(1.0, float(np.max(np.abs(self.points))))
+        return float(np.max(np.abs(self.points)))
 
     def grid_step(self) -> float:
         return 2.0 * np.pi / len(self.angles)

@@ -80,13 +80,12 @@ def hermitian_eigen(hm) -> HermEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Raises ValueError when the input deviates from Hermitian symmetry by more
-    than 1e-10 * max(1, Frobenius norm).
+    than 1e-10 times its Frobenius norm.
     """
     arr = as_matrix(hm)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError("hermitian_eigen needs a square matrix")
-    scale = max(1.0, float(np.linalg.norm(arr)))
-    if float(np.linalg.norm(arr - arr.conj().T)) > 1e-10 * scale:
+    if float(np.linalg.norm(arr - arr.conj().T)) > 1e-10 * float(np.linalg.norm(arr)):
         raise ValueError("matrix is not Hermitian")
     w, v = np.linalg.eigh(arr)
     return HermEig(lam=w[::-1].copy(), frame=v[:, ::-1].copy())

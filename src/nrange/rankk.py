@@ -146,42 +146,39 @@ def _off_identity(x: np.ndarray, c) -> float:
     return math.sqrt(np.vdot(x, x).real)
 
 
-def _frames(b: np.ndarray, z: complex, near_origin: bool) -> np.ndarray:
+def _frames(b: np.ndarray, z: complex) -> np.ndarray:
     """One half-step for a stack of images b, shape (R, m, k), from one SVD.
 
     Row by row: the exact isometry F with F* b = z I where one exists --
-    the column-space part U diag(conj(z)/s) plus, for every singular value
-    strictly above |z|, a correction in the orthogonal complement; feasible
-    when no singular value falls below |z| and the complement has a
-    direction for every strictly larger one.  Otherwise the polar factor of
-    b conj(z), which is U_k V* conj(z)/|z| on the same SVD.
+    U diag(conj(z)/s) plus, for every singular value strictly above |z|, a
+    correction in the orthogonal complement; feasible when no singular
+    value falls below |z| and the complement has a direction for every
+    strictly larger one.  A row with |z| at most 1e-14 times its largest
+    singular value (z = 0 at a zero image too) takes the trailing k left
+    singular vectors: the least-aligned directions, null directions of b
+    when it has k of them.  Every other row takes the polar factor of
+    b conj(z), U_k V* conj(z)/|z| on the same SVD, which at a negligible
+    |z| would maximize exactly the wrong correlation.
 
-    When no row's smallest singular value reaches |z| (relative 1e-10) and
-    the origin cases below cannot arise, every row takes the polar factor,
-    and the stack returns it at once: the same product the general route
-    forms for a polar row, so the frames are bit for bit the same.  That is
-    every half-step of a search for |z| > sigma_k(A), since interlacing
-    keeps sigma_k(A N) <= sigma_k(A).  The general route's isometry repair
-    is not needed there: U_k e^{i phi} V* is a product of LAPACK's
+    When no row is exact (relative 1e-10) or negligible, the stack returns
+    the polar factors at once, the same product the general route forms
+    for a polar row, bit for bit.  That is every half-step of a search for
+    |z| > sigma_k(A), since interlacing keeps sigma_k(A N) <= sigma_k(A).
+    It skips the isometry repair: U_k e^{i phi} V* is a product of LAPACK's
     orthonormal factors, so ||F* F - I|| is O(k eps), far below the repair's
-    1e-12; the repair stays for stacks with an exact row, whose complement
-    corrections can lose orthonormality.
-
-    Only when ``near_origin`` (|z| may be negligible against a row) do the
-    origin cases arise: there the exact frame spans left null directions of
-    b when it has k of them, and the least-aligned directions replace the
-    polar factor, which would maximize exactly the wrong correlation.
+    1e-12, which stays for the complement corrections of exact rows.
     """
     m, k = b.shape[1:]
     u, s, vh = np.linalg.svd(b)
     r = abs(z)
     zbar = np.conj(z)
     exact = s[:, -1] >= r * (1.0 - 1e-10)
+    least = s[:, 0] >= r * 1e14
     # count_nonzero is a fraction of the cost of .all()/.any() on masks
     # this small, and a search makes several such tests per half-step
-    if not near_origin and not np.count_nonzero(exact):
+    if not np.count_nonzero(exact | least):
         return (u[:, :, :k] * (zbar / r)) @ vh
-    # only infeasible or origin rows divide by a zero singular value, and
+    # only infeasible or least rows divide by a zero singular value, and
     # their quotients are replaced below
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = zbar / s
@@ -192,29 +189,19 @@ def _frames(b: np.ndarray, z: complex, near_origin: bool) -> np.ndarray:
         # descending singular values make the columns that need a
         # complement direction a prefix, which must end before column m - k
         exact &= ~need[:, m - k]
-    if near_origin:
-        scale = np.maximum(s[:, 0], 1.0)
-        origin = r <= 1e-14 * scale
-        exact &= ~origin
-    if np.count_nonzero(exact) < len(b):
-        coef[~exact] = phase
-        need &= exact[:, None]
+    exact &= ~least
+    coef[~exact] = phase
+    need &= exact[:, None]
     frame = u[:, :, :k] * coef[:, None, :]
     q = min(k, m - k)
-    if q:
-        frame[:, :, :q] += u[:, :, k:k + q] * np.sqrt(
-            np.where(need[:, :q], defect[:, :q], 0.0))[:, None, :]
+    frame[:, :, :q] += u[:, :, k:k + q] * np.sqrt(
+        np.where(need[:, :q], defect[:, :q], 0.0))[:, None, :]
     frame = frame @ vh
     repair = _fro(_minus_identity(frame.conj().swapaxes(1, 2) @ frame, 1.0)) > 1e-12
     if np.count_nonzero(repair):
         pu, _, pvh = np.linalg.svd(frame[repair], full_matrices=False)
         frame[repair] = pu @ pvh
-    if near_origin:
-        least = ~exact & (r <= 1e-14 * np.maximum(np.sqrt((s * s).sum(axis=1)), 1.0))
-        for i in np.flatnonzero(least):
-            rank = int(np.sum(s[i] > 1e-12 * scale[i]))
-            start = rank if origin[i] and m - rank >= k else m - k
-            frame[i] = u[i, :, start:start + k]
+    frame[least] = u[least, :, m - k:]
     return frame
 
 
@@ -305,18 +292,19 @@ def _start_frames(sig, u, v, m: int, n: int, k: int, z: complex):
     return frame, left
 
 
-def _descend(arr, z, right, near_origin, max_iter, tol):
+def _descend(arr, z, right, max_iter, tol):
     """Block-coordinate descent on the witness residual, for a stack of start frames.
 
     ``right`` stacks R start frames, shape (R, n, k), and every row runs
     from pass 1.  A row stops once its best residual reaches ``tol``, after
     ``max_iter`` passes, or when three passes in a row fail to lower its
-    best residual by a relative 1e-12.  The relative rule leaves the search
-    exactly invariant under power-of-two scaling, and stops rows whose only
-    gains are rounding noise.  Finished rows leave the stack, so each
-    half-step is one SVD of the rows still running.  Rows never interact,
-    so a row's result is the one it gets alone.  Returns the best left and
-    right frames, residual and number of passes of every row, in row order.
+    best residual by a relative 1e-12, which stops rows whose only gains
+    are rounding noise.  That rule and ``_frames``' per-row tests are
+    relative, so scaling A, z and ``tol`` by a power of two scales every
+    residual exactly.  Finished rows leave the stack, so each half-step is
+    one SVD of the rows still running.  Rows never interact, so a row's
+    result is the one it gets alone.  Returns the best left and right
+    frames, residual and number of passes of every row, in row order.
     """
     rows = np.arange(len(right))
     adj, zbar = arr.conj().T, z.conjugate()
@@ -324,7 +312,7 @@ def _descend(arr, z, right, near_origin, max_iter, tol):
     best_res, stall = np.inf, 0
     finished = []
     for it in range(1, max_iter + 1):
-        left = _frames(arr @ right, z, near_origin)
+        left = _frames(arr @ right, z)
         res = _fro(_minus_identity(left.conj().swapaxes(1, 2) @ arr @ right, z))
         better = res < best_res * (1.0 - 1e-12)
         if np.count_nonzero(better) == len(better):
@@ -349,7 +337,7 @@ def _descend(arr, z, right, near_origin, max_iter, tol):
             keep = ~done
             rows, left, best_left, best_right, best_res, stall = (
                 part[keep] for part in (rows, left, best_left, best_right, best_res, stall))
-        right = _frames(adj @ left, zbar, near_origin)
+        right = _frames(adj @ left, zbar)
     if len(finished) == 1:
         return finished[0][1:]
     order = np.argsort(np.concatenate([part[0] for part in finished]))
@@ -370,8 +358,8 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
     ||M* A N - z I||_F runs every restart in one stack from pass 1: restart
     0, and the frames ``random_isometries(min(m, n), k, restarts - 1,
     (seed, 1))``.  Each half-step solves the one-sided isometry subproblem
-    exactly whenever it is feasible and otherwise falls back to the
-    phase-steered polar update.  A restart stops at ``tol``, at ``max_iter``
+    exactly where it is feasible and otherwise takes the least-aligned or
+    the phase-steered polar frame (``_frames``).  A restart stops at ``tol``, at ``max_iter``
     passes, or after three passes that each lower its best residual by no
     more than a relative 1e-12.  Returns the first certifying restart in
     index order, else the lowest-index best pair; a residual at or below
@@ -403,13 +391,10 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
     if res <= tol:
         right, iterations, used = start, 1, 1
     else:
-        # no image A N or A* M of a k-column isometry exceeds sqrt(k) ||A||_2
-        # in Frobenius norm; the factor 2 absorbs rounding
-        near_origin = abs(z) <= 2e-14 * max(1.0, k ** 0.5 * float(sig[0]))
         start = start[None]
         if restarts > 1:
             start = np.concatenate([start, random_isometries(n, k, restarts - 1, (seed, 1))])
-        left, right, res, iterations = _descend(arr, z, start, near_origin, max_iter, tol)
+        left, right, res, iterations = _descend(arr, z, start, max_iter, tol)
         hit = res <= tol
         pick = int(np.argmax(hit)) if hit.any() else int(np.argmin(res))
         left, right, res, iterations = left[pick], right[pick], res[pick], iterations[pick]

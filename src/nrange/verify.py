@@ -18,7 +18,7 @@ from .geometry import default_angles, region_contains, region_support_curve, sup
 from .linalg import random_isometry, require_ints, svd
 from .reference import TALL_EXAMPLE, TALL_EXAMPLE_FRAME, WIDE_EXAMPLE
 
-__all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "run_suites"]
+__all__ = ["CheckResult", "SUITE_NAMES", "require_tol", "run_suite", "run_suites"]
 
 
 @dataclass(frozen=True)
@@ -543,6 +543,12 @@ SUITE_NAMES = {
 }
 
 
+def require_tol(tol: float) -> None:
+    """Raise ValueError unless ``tol`` is finite and non-negative: NaN passes any gap > tol."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+
+
 def run_suite(name: str, seed: int, tol: float = 1e-8) -> list[CheckResult]:
     """One row per check; a failing row's detail joins its first three failures."""
     try:
@@ -550,6 +556,7 @@ def run_suite(name: str, seed: int, tol: float = 1e-8) -> list[CheckResult]:
     except KeyError:
         raise ValueError(f"unknown suite: {name!r}") from None
     require_ints(0, seed=seed)
+    require_tol(tol)
     return [
         CheckResult(name, check, not bad, "; ".join(bad[:3]))
         for check, bad in func(seed, tol).items()

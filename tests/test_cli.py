@@ -16,6 +16,7 @@ from nrange.geometry import region_contains
 from nrange.io import load_matrix, load_region, save_matrix_json
 from nrange.linalg import svd
 from nrange.reference import WIDE_EXAMPLE
+from nrange.verify import SUITE_NAMES
 
 
 @pytest.fixture
@@ -194,6 +195,24 @@ class TestCompute:
         )
         assert code == EXIT_OK
         assert len(load_region(out)[0].curve.angles) == 37
+
+    @pytest.mark.parametrize("set_name", ["fov", "wl", "wh"])
+    @pytest.mark.parametrize("n_angles", [0, 7, 8])
+    def test_angles_below_eight_is_usage_error(self, tmp_path, rng, capsys, set_name, n_angles):
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        src = tmp_path / "a.json"
+        save_matrix_json(src, a)
+        out = tmp_path / "r.json"
+        code = main(["compute", "--input", str(src), "--set", set_name,
+                     "--angles", str(n_angles), "--out", str(out)])
+        captured = capsys.readouterr()
+        if n_angles >= 8:
+            assert code == EXIT_OK
+            assert len(load_region(out)[0].curve.angles) == n_angles
+        else:
+            assert code == EXIT_USAGE
+            assert captured.out == "" and not out.exists()
+            assert captured.err == f"error: --angles must be >= 8, got {n_angles}\n"
 
     def test_wh_with_explicit_frame(self, tmp_path, rng):
         a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
@@ -380,3 +399,19 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "PASS" in out and "prop12" in out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-8"])
+    def test_hostile_tol_is_usage_error(self, capsys, monkeypatch, tol):
+        # a NaN passed every check that fails on gap > tol without checking
+        # anything, and an infinite tol exited 0
+        ran = []
+        monkeypatch.setitem(SUITE_NAMES, "prop7", lambda seed, tol: ran.append(tol) or {})
+        assert main(["verify", "--suite", "prop7", "--seed", "1", f"--tol={tol}"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and not ran
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: tol must be finite and non-negative")
+
+    def test_zero_tol_runs_the_suite(self, capsys):
+        main(["verify", "--suite", "prop12", "--seed", "1", "--tol", "0"])
+        assert "checks passed" in capsys.readouterr().out

@@ -341,6 +341,15 @@ class TestSharpPoints:
         assert found[0].location == pytest.approx(1.0)
         assert found[0].normal_cone_width == pytest.approx(2 * np.pi)
 
+    def test_smooth_boundary_has_none_at_any_scale(self):
+        # with the clustering tolerance floored at 1e-6, samples of this
+        # smooth boundary merged into one spurious corner at every scale
+        # up to 1e-9
+        g = np.random.default_rng(0)
+        a = (g.standard_normal((4, 3)) + 1j * g.standard_normal((4, 3)))[:3]
+        for scale in (1e-300, 1e-150, 1e-12, 1e-9, 1.0, 1e150, 1e300):
+            assert sharp_points(fov_boundary(scale * a)) == [], scale
+
     def test_reference_lower_range_corner_near_5i(self):
         curve = lower_range(ProjectorSetting(TALL_EXAMPLE, TALL_EXAMPLE_FRAME), 720)
         found = sharp_points(curve)

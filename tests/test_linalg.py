@@ -97,6 +97,14 @@ class TestHermitianEigen:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eigen(rand_complex(rng, 3, 3))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-12])
+    def test_rejects_non_hermitian_at_any_scale(self, scale):
+        # with the symmetry tolerance floored at 1e-10, every matrix below
+        # that norm passed, and its eigenvalues were taken as real; below
+        # about 1e-154 both Frobenius norms still underflow to 0
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eigen(scale * np.array([[1, 1j], [0, 2]]))
+
 
 class TestRandomIsometry:
     def test_defect(self):

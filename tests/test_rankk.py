@@ -546,11 +546,14 @@ class TestStackedWitnessSearch:
         assert (at_tol.restarts_used, at_tol.iterations, at_tol.residual) == (1, 1, alone.residual)
         assert np.array_equal(at_tol.left, alone.left) and np.array_equal(at_tol.right, alone.right)
 
-    @pytest.mark.parametrize("j", [-20, 40, 300])
+    @pytest.mark.parametrize("j", [-60, -20, 40, 300])
     def test_power_of_two_scaling_leaves_the_search_unchanged(self, j):
-        # the stall rule is relative, so scaling A, z and tol by 2**j scales
-        # every residual exactly; under an absolute 1e-15 floor, 8 of these
-        # 21 rescalings stopped at another pass
+        # the stall rule and the frames' test for a negligible z are
+        # relative, so scaling A, z and tol by 2**j scales every residual
+        # exactly; under an absolute 1e-15 stall floor, 8 of the first seven
+        # cases' 21 rescalings at j = -20, 40, 300 stopped at another pass,
+        # and under unit floors in the origin test 8 of the nine at j = -60
+        # took other frames
         c = 2.0 ** j
         for shape, k, index, factor in SCALING_CASES:
             a = rand_complex(np.random.default_rng(12345), *shape)
@@ -574,10 +577,11 @@ class TestStackedWitnessSearch:
 
 
 # (shape, k, singular-value index, |z| as a multiple of it): members, values
-# outside the region or in a ring's hole, and a wide matrix
+# outside the region or in a ring's hole, a wide matrix, and z = 0 and a
+# negligible z in the hole of a ring
 SCALING_CASES = [((5, 3), 2, 0, 1.2), ((5, 3), 2, 1, 1.2), ((4, 3), 1, 0, 1.3),
                  ((4, 3), 2, 1, 0.5), ((2, 5), 2, 1, 1.4), ((4, 4), 3, 2, 0.5),
-                 ((3, 2), 2, 0, 1.5)]
+                 ((3, 2), 2, 0, 1.5), ((3, 3), 2, 1, 0.0), ((3, 3), 2, 2, 1e-15)]
 
 
 def ring_cases():
@@ -633,11 +637,10 @@ class TestDescendStack:
         a = rand_complex(np.random.default_rng(7), *shape)
         sig = svd(a).sigma
         z = complex(factor * float(sig[index]) * np.exp(0.7j))
-        near_origin = abs(z) <= 2e-14 * max(1.0, k ** 0.5 * float(sig[0]))
         frames = start_stack(a, k, z, 8, seed=2)
-        stacked = _descend(a, z, frames, near_origin, max_iter, 1e-8)
+        stacked = _descend(a, z, frames, max_iter, 1e-8)
         for i, frame in enumerate(frames):
-            alone = _descend(a, z, frame[None], near_origin, max_iter, 1e-8)
+            alone = _descend(a, z, frame[None], max_iter, 1e-8)
             for got, want in zip(stacked, alone):
                 assert np.array_equal(got[i], want[0])
         residual, iterations = stacked[2:]
@@ -691,8 +694,7 @@ class TestClosedFormCertificate:
             assert isometry_defect(left) <= 1e-12 and isometry_defect(right) <= 1e-12
             assert np.linalg.norm(left.conj().T @ arr @ right - zt * np.eye(k)) <= 1e-12 * sig[0]
             # the descent from the same start frame is the independent route
-            near_origin = abs(zt) <= 2e-14 * max(1.0, k ** 0.5 * float(sig[0]))
-            assert _descend(arr, zt, right[None], near_origin, 500, 1e-8)[2][0] <= 1e-8
+            assert _descend(arr, zt, right[None], 500, 1e-8)[2][0] <= 1e-8
             wit = find_witness(a, k, z)
             assert (wit.restarts_used, wit.iterations) == (1, 1)
             pair = (right, left) if wide else (left, right)
@@ -791,7 +793,7 @@ def test_all_polar_stacks_are_isometries(k, extra, rows, zero_columns, low_rank,
     top = max(float(s[:, -1].max()), 2.0 ** exponent * 1e-3)
     z = complex(ratio * top * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
     assert (s[:, -1] < abs(z) * (1.0 - 1e-10)).all()
-    frame = _frames(b, z, False)
+    frame = _frames(b, z)
     assert np.array_equal(frame, (u[:, :, :k] * (np.conj(z) / abs(z))) @ vh)
     defect = frame.conj().swapaxes(1, 2) @ frame - np.eye(k)
     assert np.sqrt((np.abs(defect) ** 2).sum(axis=(1, 2))).max() <= 1e-13

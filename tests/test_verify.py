@@ -37,6 +37,11 @@ class TestBaseline:
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             run_suites(list(SUITE_NAMES), seed=-1)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-8])
+    def test_hostile_tol_raises(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            run_suites(list(SUITE_NAMES), seed=1, tol=tol)
+
     def test_cli_exit_codes(self):
         assert main(["verify", "--suite", "prop12", "--seed", "1"]) == EXIT_OK
         assert main(["verify", "--suite", "prop9", "--seed", "1"]) == EXIT_CHECK_FAILED
