@@ -42,6 +42,7 @@ from .rankk import (
     projector_intersection_check,
     rank_k_contains,
     rank_k_region,
+    separating_frame,
 )
 from .rectrange import (
     WitnessVectors,

@@ -6,6 +6,8 @@ frame generator), so concurrent use needs no locking.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +19,7 @@ __all__ = [
     "frobenius_inner",
     "hermitian_eigen",
     "isometry_defect",
+    "pow2_exponent",
     "random_isometries",
     "random_isometry",
     "require_ints",
@@ -80,15 +83,28 @@ def hermitian_eigen(hm) -> HermEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Raises ValueError when the input deviates from Hermitian symmetry by more
-    than 1e-10 times its Frobenius norm.
+    than 1e-10 times its Frobenius norm, tested on the input over the power
+    of two at its largest entry, where neither norm under- or overflows.
     """
     arr = as_matrix(hm)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError("hermitian_eigen needs a square matrix")
-    if float(np.linalg.norm(arr - arr.conj().T)) > 1e-10 * float(np.linalg.norm(arr)):
+    unit = arr * math.ldexp(1.0, -pow2_exponent(np.abs(arr).max()))
+    if float(np.linalg.norm(unit - unit.conj().T)) > 1e-10 * float(np.linalg.norm(unit)):
         raise ValueError("matrix is not Hermitian")
     w, v = np.linalg.eigh(arr)
     return HermEig(lam=w[::-1].copy(), frame=v[:, ::-1].copy())
+
+
+def pow2_exponent(*values) -> int:
+    """Exponent e of the power of two at the largest modulus among ``values``.
+
+    Dividing by 2**e puts that modulus in [0.5, 1), exactly, so no square of
+    a quotient overflows and the largest does not underflow.  e is 0 when
+    every value is zero, stops at -1021, where 2**-e is still a float, and is
+    1024 for an infinite modulus.
+    """
+    return max(math.frexp(min(max(map(abs, values)), sys.float_info.max))[1], -1021)
 
 
 def random_isometries(m: int, k: int, count: int, seed) -> np.ndarray:

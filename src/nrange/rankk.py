@@ -6,10 +6,12 @@ the index k: a disc of radius sigma_k while 2k stays within the larger
 dimension, the ring between sigma_{m+n-2k+1} and sigma_k up to
 3k <= m + n + 1, and past that empty unless repeated singular values make
 those two radii equal, when it is the circle |z| = sigma_k.  Membership can
-also be read off the singular-value interlacing inequalities, and
-``find_witness`` certifies individual values with an explicit isometry pair:
-for a member, built in closed form from the SVD of A, with a multi-start
-descent as the fallback and as the search for every other value.
+also be read off the singular-value interlacing inequalities.  Both sides of
+a verdict come with an explicit certificate from one SVD of A:
+``find_witness`` builds, in closed form, an isometry pair that solves the
+equation for a member and attains sqrt(k) times the distance from the region
+for any other value, and ``separating_frame`` gives a frame whose bound,
+checked from A and the frame alone, proves a value outside.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Annulus, Disc, Empty, Point, Region, Segment, normalize_region
-from .linalg import as_matrix, hermitian_eigen, random_isometries, require_ints, svd
+from .linalg import as_matrix, hermitian_eigen, pow2_exponent, random_isometries, require_ints, svd
 
 __all__ = [
     "ProjectorBoundReport",
@@ -31,6 +33,7 @@ __all__ = [
     "projector_intersection_check",
     "rank_k_contains",
     "rank_k_region",
+    "separating_frame",
 ]
 
 
@@ -45,14 +48,14 @@ class RankKRegion:
 
 @dataclass(frozen=True)
 class WitnessPair:
-    """Isometry pair certifying (or best approximating) one range value."""
+    """Isometry pair certifying one range value, or the pair at its nearest region point."""
 
     left: np.ndarray   # m x k
     right: np.ndarray  # n x k
     value: complex
     residual: float    # ||left* A right - value I||_F
-    restarts_used: int
-    iterations: int    # left/right iteration pairs the returned restart ran
+    restarts_used: int  # always 1
+    iterations: int     # always 1
 
 
 def rank_k_region(a, k: int) -> RankKRegion:
@@ -129,80 +132,10 @@ def hermitian_rank_interval(hm, k: int) -> Region:
 # witness search
 
 
-def _fro(x: np.ndarray) -> np.ndarray:
-    """Frobenius norm of every matrix in a stack, as np.linalg.norm(x, axis=(1, 2))."""
-    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(1, 2)))
-
-
-def _minus_identity(x: np.ndarray, c) -> np.ndarray:
-    """x - c I for every square matrix in a fresh (C-ordered) stack, in place."""
-    x.reshape(len(x), -1)[:, ::x.shape[-1] + 1] -= c
-    return x
-
-
 def _off_identity(x: np.ndarray, c) -> float:
     """Frobenius norm of x - c I for one fresh square matrix x, changed in place."""
-    _minus_identity(x[None], c)
+    x.reshape(-1)[::x.shape[-1] + 1] -= c
     return math.sqrt(np.vdot(x, x).real)
-
-
-def _frames(b: np.ndarray, z: complex) -> np.ndarray:
-    """One half-step for a stack of images b, shape (R, m, k), from one SVD.
-
-    Row by row: the exact isometry F with F* b = z I where one exists --
-    U diag(conj(z)/s) plus, for every singular value strictly above |z|, a
-    correction in the orthogonal complement; feasible when no singular
-    value falls below |z| and the complement has a direction for every
-    strictly larger one.  A row with |z| at most 1e-14 times its largest
-    singular value (z = 0 at a zero image too) takes the trailing k left
-    singular vectors: the least-aligned directions, null directions of b
-    when it has k of them.  Every other row takes the polar factor of
-    b conj(z), U_k V* conj(z)/|z| on the same SVD, which at a negligible
-    |z| would maximize exactly the wrong correlation.
-
-    When no row is exact (relative 1e-10) or negligible, the stack returns
-    the polar factors at once, the same product the general route forms
-    for a polar row, bit for bit.  That is every half-step of a search for
-    |z| > sigma_k(A), since interlacing keeps sigma_k(A N) <= sigma_k(A).
-    It skips the isometry repair: U_k e^{i phi} V* is a product of LAPACK's
-    orthonormal factors, so ||F* F - I|| is O(k eps), far below the repair's
-    1e-12, which stays for the complement corrections of exact rows.
-    """
-    m, k = b.shape[1:]
-    u, s, vh = np.linalg.svd(b)
-    r = abs(z)
-    zbar = np.conj(z)
-    exact = s[:, -1] >= r * (1.0 - 1e-10)
-    least = s[:, 0] >= r * 1e14
-    # count_nonzero is a fraction of the cost of .all()/.any() on masks
-    # this small, and a search makes several such tests per half-step
-    if not np.count_nonzero(exact | least):
-        return (u[:, :, :k] * (zbar / r)) @ vh
-    # only infeasible or least rows divide by a zero singular value, and
-    # their quotients are replaced below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = zbar / s
-        defect = 1.0 - (r / s) ** 2
-        phase = zbar / r
-    need = defect > 1e-12
-    if m - k < k:
-        # descending singular values make the columns that need a
-        # complement direction a prefix, which must end before column m - k
-        exact &= ~need[:, m - k]
-    exact &= ~least
-    coef[~exact] = phase
-    need &= exact[:, None]
-    frame = u[:, :, :k] * coef[:, None, :]
-    q = min(k, m - k)
-    frame[:, :, :q] += u[:, :, k:k + q] * np.sqrt(
-        np.where(need[:, :q], defect[:, :q], 0.0))[:, None, :]
-    frame = frame @ vh
-    repair = _fro(_minus_identity(frame.conj().swapaxes(1, 2) @ frame, 1.0)) > 1e-12
-    if np.count_nonzero(repair):
-        pu, _, pvh = np.linalg.svd(frame[repair], full_matrices=False)
-        frame[repair] = pu @ pvh
-    frame[least] = u[least, :, m - k:]
-    return frame
 
 
 def _start_frames(sig, u, v, m: int, n: int, k: int, z: complex):
@@ -218,15 +151,17 @@ def _start_frames(sig, u, v, m: int, n: int, k: int, z: complex):
     unit image of column j times conj(z)/d_j, d_j its norm, plus
     sqrt(1 - |z|^2/d_j^2) times a complement direction of its own: an unused
     u_i or a mix's orthogonal partner.  An image of norm 0 (then z = 0)
-    takes its own unit direction and no complement.  As in ``_frames``, M
-    exists when no d_j falls below |z| (relative 1e-10) and there is a
-    complement direction for every d_j above it (1 - |z|^2/d_j^2 > 1e-12);
-    otherwise, or when mixes run out of indices, M is None.
+    takes its own unit direction and no complement.  M exists when no d_j
+    falls below |z| (relative 1e-10) and there is a complement direction for
+    every d_j above it (1 - |z|^2/d_j^2 > 1e-12); otherwise M is None, and so
+    it is when mixes run out of indices, where N is topped up with their
+    orthogonal partners.
     """
     pins = max(0, 2 * k - m)
     plain = k - pins
     r = abs(z)
-    cols, norms, order, mixes = [v[:, :plain]], sig[:plain].tolist(), list(range(plain)), []
+    cols, norms, order = [v[:, :plain]], sig[:plain].tolist(), list(range(plain))
+    mixes, partners = [], []
     available = range(plain, n)
     for j in range(plain, k):
         if not available:
@@ -242,6 +177,7 @@ def _start_frames(sig, u, v, m: int, n: int, k: int, z: complex):
             c2 = min(max((rz * rz - rp * rp) / (ra * ra - rp * rp), 0.0), 1.0)
             c, s = math.sqrt(c2), math.sqrt(1.0 - c2)
             cols.append(c * v[:, hi] + s * v[:, lo])
+            partners.append((hi, lo, c, s))
             x, y = c * sa, s * sp
             h = math.hypot(x, y)
             # an image of norm 0 (z = 0 at sig_lo = 0) may point anywhere
@@ -253,12 +189,12 @@ def _start_frames(sig, u, v, m: int, n: int, k: int, z: complex):
             norms.append(float(sig[hi]))
             available = available[1:]
         order.append(hi)
+    if len(norms) < k:
+        # mixes can exhaust the index pool past the ring regime; top up with
+        # their orthogonal partners, which span what is left
+        return np.column_stack(cols + [s * v[:, hi] - c * v[:, lo]
+                                       for hi, lo, c, s in partners[:k - len(norms)]]), None
     frame = np.column_stack(cols)
-    if frame.shape[1] < k:
-        # mixes can exhaust the index pool past the ring regime; top up from
-        # the orthogonal complement of what was collected
-        comp = np.linalg.svd(frame, full_matrices=True)[0][:, frame.shape[1]:]
-        return np.hstack([frame, comp[:, :k - frame.shape[1]]]), None
     if mixes:
         # rotate u so that its first k columns are the unit images and the
         # rest the complement directions: the unused u_i, then the partners
@@ -292,80 +228,38 @@ def _start_frames(sig, u, v, m: int, n: int, k: int, z: complex):
     return frame, left
 
 
-def _descend(arr, z, right, max_iter, tol):
-    """Block-coordinate descent on the witness residual, for a stack of start frames.
-
-    ``right`` stacks R start frames, shape (R, n, k), and every row runs
-    from pass 1.  A row stops once its best residual reaches ``tol``, after
-    ``max_iter`` passes, or when three passes in a row fail to lower its
-    best residual by a relative 1e-12, which stops rows whose only gains
-    are rounding noise.  That rule and ``_frames``' per-row tests are
-    relative, so scaling A, z and ``tol`` by a power of two scales every
-    residual exactly.  Finished rows leave the stack, so each half-step is
-    one SVD of the rows still running.  Rows never interact, so a row's
-    result is the one it gets alone.  Returns the best left and right
-    frames, residual and number of passes of every row, in row order.
-    """
-    rows = np.arange(len(right))
-    adj, zbar = arr.conj().T, z.conjugate()
-    best_left = best_right = None
-    best_res, stall = np.inf, 0
-    finished = []
-    for it in range(1, max_iter + 1):
-        left = _frames(arr @ right, z)
-        res = _fro(_minus_identity(left.conj().swapaxes(1, 2) @ arr @ right, z))
-        better = res < best_res * (1.0 - 1e-12)
-        if np.count_nonzero(better) == len(better):
-            best_left, best_right, best_res = left, right, res
-            stall = np.zeros(len(res), dtype=int)
-        else:
-            # a row's first pass sets its frames even when its residual is not finite
-            if best_left is None:
-                best_left, best_right = left, right
-            best_left = np.where(better[:, None, None], left, best_left)
-            best_right = np.where(better[:, None, None], right, best_right)
-            best_res = np.where(better, res, best_res)
-            stall = np.where(better, 0, stall + 1)
-        done = (best_res <= tol) | (stall >= 3)
-        finished_now = np.count_nonzero(done)
-        if finished_now == len(done) or it == max_iter:
-            finished.append((rows, best_left, best_right, best_res, np.full(len(rows), it)))
-            break
-        if finished_now:
-            finished.append((rows[done], best_left[done], best_right[done], best_res[done],
-                             np.full(finished_now, it)))
-            keep = ~done
-            rows, left, best_left, best_right, best_res, stall = (
-                part[keep] for part in (rows, left, best_left, best_right, best_res, stall))
-        right = _frames(adj @ left, zbar)
-    if len(finished) == 1:
-        return finished[0][1:]
-    order = np.argsort(np.concatenate([part[0] for part in finished]))
-    return tuple(np.concatenate([part[j] for part in finished])[order] for j in (1, 2, 3, 4))
+def _pair_residual(arr, left, right, z) -> float:
+    """||M* A N - z I||_F, or inf where M is missing or not an isometry to 1e-12."""
+    if left is None:
+        return math.inf
+    adj = left.conj().T
+    if _off_identity(adj @ left, 1.0) > 1e-12:
+        return math.inf
+    return _off_identity(adj @ arr @ right, z)
 
 
 def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
                  max_iter: int = 500, tol: float = 1e-8) -> WitnessPair:
-    """Search for an isometry pair certifying z in the rank-k range.
+    """Isometry pair certifying z in the rank-k range, or the pair at its nearest point.
 
-    Restart 0 starts from (possibly mixed) singular-vector frames N, and the
-    one SVD of A also gives the left frame M with M* A N = z I in closed
-    form where one exists (``_start_frames``).  That pair, pass 1 of restart
-    0 without an SVD of A N, is returned with ``restarts_used`` and
-    ``iterations`` 1 when M is an isometry to 1e-12 and ||M* A N - z I||_F,
-    computed from A, M and N, is at most ``tol``; every member certifies
-    this way.  Otherwise multi-start block-coordinate descent on
-    ||M* A N - z I||_F runs every restart in one stack from pass 1: restart
-    0, and the frames ``random_isometries(min(m, n), k, restarts - 1,
-    (seed, 1))``.  Each half-step solves the one-sided isometry subproblem
-    exactly where it is feasible and otherwise takes the least-aligned or
-    the phase-steered polar frame (``_frames``).  A restart stops at ``tol``, at ``max_iter``
-    passes, or after three passes that each lower its best residual by no
-    more than a relative 1e-12.  Returns the first certifying restart in
-    index order, else the lowest-index best pair; a residual at or below
-    ``tol`` certifies the value, anything else is inconclusive.  A z that is
-    not finite, or whose modulus exceeds the float range, raises ValueError
-    before any decomposition.
+    Works on the taller of A and its adjoint.  From its one full SVD, A and
+    z are divided by the power of two at the larger of sigma_1 and |z|
+    (``pow2_exponent``): exact, and no square below leaves the float range at
+    any scale.  N and M with M* A N = z I come in closed form where they
+    exist (``_start_frames``), and every member certifies with them: a
+    residual ||M* A N - z I||_F, recomputed from A, M and N and scaled back,
+    at most ``tol``.  Any other z moves along its ray (phase 1 at z = 0)
+    onto the region's radial interval [sigma_j, sigma_k] of
+    ``rank_k_region``, and the closed-form pair at that nearest point is
+    returned: residual sqrt(k) times the distance from the region, to
+    rounding; ``separating_frame`` proves such a z outside.  Where the region is
+    empty, or M misses its isometry test, M comes from one SVD of the m x k
+    image A N: its polar factor steered by conj(z)/|z| (1 at z = 0), with
+    the directions of singular values past 2|z| traded for unused ones as
+    far as there are any.  ``seed``, ``restarts`` and ``max_iter`` are
+    validated but have no effect, and ``restarts_used`` and ``iterations``
+    are always 1.  A z that is not finite, or whose modulus exceeds the
+    float range, raises ValueError before any decomposition.
     """
     arr = as_matrix(a)
     m, n = arr.shape
@@ -378,31 +272,79 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
         raise ValueError("z must be finite, and so must its modulus")
     wide = m < n
     if wide:
-        # Work on the adjoint so the exact step sees the taller side.
+        # Work on the adjoint so the closed form sees the taller side.
         arr, z, m, n = arr.conj().T, z.conjugate(), n, m
     u, sig, vh = np.linalg.svd(arr, full_matrices=True)
-    start, left = _start_frames(sig, u, vh.conj().T, m, n, k, z)
-    res = np.inf
-    if left is not None:
-        # pass 1's left half-step in closed form, checked from A, M and N
-        adj = left.conj().T
-        if _off_identity(adj @ left, 1.0) <= 1e-12:
-            res = _off_identity(adj @ arr @ start, z)
-    if res <= tol:
-        right, iterations, used = start, 1, 1
-    else:
-        start = start[None]
-        if restarts > 1:
-            start = np.concatenate([start, random_isometries(n, k, restarts - 1, (seed, 1))])
-        left, right, res, iterations = _descend(arr, z, start, max_iter, tol)
-        hit = res <= tol
-        pick = int(np.argmax(hit)) if hit.any() else int(np.argmin(res))
-        left, right, res, iterations = left[pick], right[pick], res[pick], iterations[pick]
-        used = pick + 1 if res <= tol else restarts
+    # A, its singular values and z over the power of two at the larger of
+    # sigma_1 and |z|: exact, and no square below leaves the float range; a
+    # sigma_1 past that range is decomposed again, over 2**1024
+    e = pow2_exponent(sig[0], z)
+    scale = math.ldexp(1.0, -e)
+    arr, sig, z = arr * scale, sig * scale, z * scale
+    if math.isinf(sig[0]):
+        u, sig, vh = np.linalg.svd(arr, full_matrices=True)
+
+    def scaled_back(res):
+        try:
+            return math.ldexp(res, e)
+        except OverflowError:  # a residual past the float range
+            return math.inf
+
+    v = vh.conj().T
+    right, left = _start_frames(sig, u, v, m, n, k, z)
+    res = scaled_back(_pair_residual(arr, left, right, z))
+    if not res <= tol:
+        outer = float(sig[k - 1])
+        inner = float(sig[m + n - 2 * k]) if 2 * k > m else 0.0
+        r = math.hypot(z.real, z.imag)
+        phase = z / r if r else 1 + 0j
+        if inner <= outer:
+            right, left = _start_frames(sig, u, v, m, n, k, min(max(r, inner), outer) * phase)
+            res = scaled_back(_pair_residual(arr, left, right, z))
+        if res == math.inf:
+            # the polar factor of A N = U S V*, steered by conj(z)/|z|, with
+            # u_i moved to an unused direction of U, which A N never reaches,
+            # for the largest s_i past 2|z|: there column i misses z by |z|
+            # rather than s_i - |z|
+            pu, s, pvh = np.linalg.svd(arr @ right)
+            d = min(m - k, int(np.count_nonzero(s > 2 * r)))
+            left = (pu[:, [*range(k, k + d), *range(d, k)]] * phase.conjugate()) @ pvh
+            res = scaled_back(_off_identity(left.conj().T @ arr @ right, z))
     if wide:
         left, right = right, left
-    return WitnessPair(left=left, right=right, value=value, residual=float(res),
-                       restarts_used=used, iterations=int(iterations))
+    return WitnessPair(left=left, right=right, value=value, residual=res,
+                       restarts_used=1, iterations=1)
+
+
+def separating_frame(a, k: int, z):
+    """Right isometry that proves z outside the rank-k range of A, or None.
+
+    Take A as given, m x n, and any k-column isometries M, N.  If
+    |z| > sigma_k, the frame is G, the trailing n - k + 1 right singular
+    vectors: range(N) meets range(G), so some unit x = N c has
+    ||A x|| >= |c* M* A N c| = |z|, and ||A G|| < |z| rules every pair out.
+    If |z| < sigma_j, j = m + n - 2k + 1 (past the low regime), it is S, the
+    top j: the c with N c in range(S) span at least m - k + 1 dimensions, so
+    their images under A N meet range(M), where ||A N c|| >= sigma_min(A S)
+    but M* A N c = z c; sigma_min(A S) > |z| rules every pair out.  Anyone can
+    check either bound from A and the frame alone.  Returns None for a
+    member and within a relative 1e-12 sigma_1 of the binding value.
+    """
+    arr = as_matrix(a)
+    m, n = arr.shape
+    require_ints(1, k=k)
+    if k > min(m, n):
+        raise ValueError(f"need 1 <= k <= min(m, n) = {min(m, n)}, got {k}")
+    z = complex(z)
+    _, sig, vh = np.linalg.svd(arr, full_matrices=True)
+    r = math.hypot(z.real, z.imag)
+    band = 1e-12 * float(sig[0])
+    if r > sig[k - 1] + band:
+        return vh[k - 1:].conj().T
+    j = m + n - 2 * k + 1
+    if 2 * k > max(m, n) and r < sig[j - 1] - band:
+        return vh[:j].conj().T
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -438,7 +438,7 @@ def suite_prop13(seed: int, tol: float = 1e-8) -> dict[str, list[str]]:
     sig = svd(a).sigma
     for k in (1, 2):
         z = float(sig[k - 1]) * np.exp(0.4j)
-        wit = rankk.find_witness(a, k, z, seed=_child_seed(seed, 13, 90 + k))
+        wit = rankk.find_witness(a, k, z)
         if wit.residual <= 1e-8:
             phi = 0.7
             rotated_res = float(
@@ -462,8 +462,32 @@ def suite_prop13(seed: int, tol: float = 1e-8) -> dict[str, list[str]]:
     }
 
 
+def _separates(a, k: int, z, frame) -> bool:
+    """Whether ``frame`` proves z outside the rank-k range of a, from a and the frame alone.
+
+    Both bounds of ``rankk.separating_frame``, each as a Cholesky
+    factorization that exists only for a positive definite matrix: an
+    isometry with at least n - k + 1 columns and ||a F|| < |z|, or one with
+    at least m + n - 2k + 1 columns and sigma_min(a F) > |z|.
+    """
+    m, n = a.shape
+    d = frame.shape[1]
+    if frame.shape[0] != n or np.linalg.norm(frame.conj().T @ frame - np.eye(d)) > 1e-12:
+        return False
+    image = a @ frame
+    gram, shift = image.conj().T @ image, abs(z) ** 2 * np.eye(d)
+    for dim, form in ((n - k + 1, shift - gram), (m + n - 2 * k + 1, gram - shift)):
+        if d >= dim:
+            try:
+                np.linalg.cholesky(form)
+                return True
+            except np.linalg.LinAlgError:
+                pass
+    return False
+
+
 def suite_prop14(seed: int, tol: float = 1e-8) -> dict[str, list[str]]:
-    regime_bad, agree_bad, witness_bad, axis_bad = [], [], [], []
+    regime_bad, agree_bad, witness_bad, axis_bad, separated_bad = [], [], [], [], []
     for s_idx, (m, n) in enumerate(_SHAPES):
         rng = np.random.default_rng(_child_seed(seed, 14, s_idx))
         for rep in range(5):
@@ -481,7 +505,7 @@ def suite_prop14(seed: int, tol: float = 1e-8) -> dict[str, list[str]]:
                     mid = (lo + hi) / 2.0 if lo > 0 else hi / 2.0
                     first = lo / 2.0 if lo > 0 else hi / 2.0
                     radii = [first, mid if mid != first else hi, 1.2 * hi + 0.1]
-                for r_idx, radius in enumerate(radii):
+                for radius in radii:
                     for a_idx in range(4):
                         z = radius * np.exp(1j * (0.3 + a_idx * np.pi / 2.0))
                         member = rankk.rank_k_contains(a, k, z)
@@ -493,11 +517,7 @@ def suite_prop14(seed: int, tol: float = 1e-8) -> dict[str, list[str]]:
                             )
                         if k > min(m, n):
                             continue
-                        wit = rankk.find_witness(
-                            a, k, z,
-                            seed=_child_seed(seed, 14, s_idx, rep, k, r_idx, a_idx),
-                            restarts=20, max_iter=500, tol=1e-6,
-                        )
+                        wit = rankk.find_witness(a, k, z, tol=1e-6)
                         success = wit.residual <= 1e-6
                         if success != member:
                             witness_bad.append(
@@ -508,11 +528,16 @@ def suite_prop14(seed: int, tol: float = 1e-8) -> dict[str, list[str]]:
                             abs(z.real) > sig[k - 1] + 1e-9 or abs(z.imag) > sig[k - 1] + 1e-9
                         ):
                             axis_bad.append(f"{(m, n)} rep {rep} k={k} z={z!r}")
+                        if not member:
+                            frame = rankk.separating_frame(a, k, z)
+                            if frame is None or not _separates(a, k, z, frame):
+                                separated_bad.append(f"{(m, n)} rep {rep} k={k} z={z!r}")
     return {
         "regime-trichotomy": regime_bad,
         "region-matches-inequalities": agree_bad,
         "witness-agrees-with-formula": witness_bad[:2],  # each entry prints the matrix
         "certified-grid-obeys-axis-bounds": axis_bad,
+        "non-members-separated": separated_bad,
     }
 
 

@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import math
 import pkgutil
 
 import numpy as np
@@ -13,6 +14,7 @@ from nrange.linalg import (
     frobenius_inner,
     hermitian_eigen,
     isometry_defect,
+    pow2_exponent,
     random_isometries,
     random_isometry,
     require_ints,
@@ -97,13 +99,31 @@ class TestHermitianEigen:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eigen(rand_complex(rng, 3, 3))
 
-    @pytest.mark.parametrize("scale", [1.0, 1e-12])
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-300])
     def test_rejects_non_hermitian_at_any_scale(self, scale):
         # with the symmetry tolerance floored at 1e-10, every matrix below
         # that norm passed, and its eigenvalues were taken as real; below
-        # about 1e-154 both Frobenius norms still underflow to 0
+        # about 1e-154 both Frobenius norms underflowed to 0 until the test
+        # ran on the input over the power of two at its largest entry
         with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_eigen(scale * np.array([[1, 1j], [0, 2]]))
+
+
+class TestPow2Exponent:
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 3.0, 1e160, 1e300])
+    def test_puts_the_largest_modulus_in_the_unit_band(self, rng, scale):
+        values = scale * rand_complex(rng, 4, 3).ravel()
+        top = float(np.abs(values).max())
+        e = pow2_exponent(*values)
+        assert 0.5 <= math.ldexp(top, -e) < 1.0
+        assert pow2_exponent(*values, 4j * top) == e + 2
+
+    def test_edges(self):
+        assert pow2_exponent(0.0, 0j) == 0
+        # a subnormal modulus stops at -1021, where 2**1021 is a float
+        assert pow2_exponent(5e-324) == -1021
+        # an infinite modulus takes 1024, as the largest finite ones do
+        assert pow2_exponent(np.float64(np.inf)) == pow2_exponent(1.7e308) == 1024
 
 
 class TestRandomIsometry:
@@ -266,6 +286,7 @@ ENTRY_POINTS = {
     "rankk.projector_intersection_check": dict(a=np.eye(3), k=1, n_trials=3, seed=0),
     "rankk.rank_k_contains": dict(a=np.eye(3), k=1, z=0.5),
     "rankk.rank_k_region": dict(a=np.eye(3), k=1),
+    "rankk.separating_frame": dict(a=np.eye(3), k=1, z=2.0),
     "rectrange.norm_range_union": dict(a=np.eye(3), n_samples=10, seed=0),
     "verify.run_suite": dict(name="prop12", seed=0),
     "verify.run_suites": dict(names=["prop12"], seed=0),

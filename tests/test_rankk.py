@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_complex
@@ -8,16 +8,16 @@ from nrange.geometry import (
     Annulus, Circle, Disc, Empty, Point, Segment, radial_interval, region_contains,
 )
 from nrange.linalg import isometry_defect, random_isometries, random_isometry, svd
+from nrange.verify import _separates
 from nrange.rankk import (
     ProjectorBoundReport,
-    _descend,
-    _frames,
     _start_frames,
     find_witness,
     hermitian_rank_interval,
     projector_intersection_check,
     rank_k_contains,
     rank_k_region,
+    separating_frame,
 )
 
 
@@ -311,6 +311,54 @@ class TestFindWitness:
         assert np.array_equal(w1.left, w2.left)
 
 
+class TestSeparatingFrame:
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4)])
+    def test_outside_takes_the_trailing_right_singular_vectors(self, rng, shape):
+        a = rand_complex(rng, *shape)
+        _, sig, vh = np.linalg.svd(a)
+        for k in range(1, min(shape) + 1):
+            z = 1.1 * sig[k - 1] * np.exp(0.4j)
+            frame = separating_frame(a, k, z)
+            assert np.array_equal(frame, vh[k - 1:].conj().T)
+            assert frame.shape == (shape[1], shape[1] - k + 1)
+            assert np.linalg.norm(a @ frame, 2) < abs(z) and _separates(a, k, z, frame)
+
+    @pytest.mark.parametrize("shape,k", [((3, 3), 2), ((4, 4), 3), ((5, 4), 3), ((4, 5), 3),
+                                         ((3, 3), 3)])
+    def test_hole_takes_the_top_right_singular_vectors(self, rng, shape, k):
+        # rings and, at 3 x 3 k = 3, an empty region, where both frames exist
+        a = rand_complex(rng, *shape)
+        _, sig, vh = np.linalg.svd(a)
+        j = sum(shape) - 2 * k + 1
+        z = 0.5 * min(sig[j - 1], sig[k - 1]) * np.exp(2.1j)
+        frame = separating_frame(a, k, z)
+        assert np.array_equal(frame, vh[:j].conj().T)
+        assert np.linalg.svd(a @ frame, compute_uv=False)[-1] > abs(z)
+        assert _separates(a, k, z, frame)
+
+    def test_none_for_members_and_within_the_band(self, rng):
+        a = rand_complex(rng, 3, 3)
+        sig = svd(a).sigma
+        for z in (0.5 * (sig[1] + sig[2]), sig[1] * 1j, sig[2], 0.0):
+            assert separating_frame(a, 1, z) is None
+        assert separating_frame(a, 2, sig[1] + 0.5e-12 * sig[0]) is None
+        assert separating_frame(a, 2, sig[2] - 0.5e-12 * sig[0]) is None
+        assert separating_frame(a, 2, sig[1] + 2e-12 * sig[0]).shape == (3, 2)
+        assert separating_frame(a, 2, sig[2] - 2e-12 * sig[0]).shape == (3, 3)
+
+    def test_a_frame_of_the_wrong_size_proves_nothing(self, rng):
+        # one column fewer keeps ||A G|| below |z|, but the range of N can
+        # miss it, so the check asks for the full dimension
+        a = rand_complex(rng, 4, 3)
+        z = 1.1 * svd(a).sigma[1]
+        frame = separating_frame(a, 2, z)
+        assert _separates(a, 2, z, frame) and not _separates(a, 2, z, frame[:, 1:])
+
+    def test_rejects_k_past_the_smaller_dimension(self, rng):
+        with pytest.raises(ValueError, match="need 1 <= k"):
+            separating_frame(rand_complex(rng, 3, 2), 3, 5.0)
+
+
 class TestProjectorIntersection:
     def test_k1_full_projector(self, rng):
         a = rand_complex(rng, 4, 3)
@@ -404,64 +452,78 @@ def assert_consistent_pair(a, k, wit):
     assert abs(recomputed - wit.residual) <= 1e-12
 
 
+def distance_from_region(a, k, z):
+    """Distance from z to the rank-k region of a, None when the region is empty."""
+    interval = radial_interval(rank_k_region(a, k).region)
+    if interval is None:
+        return None
+    lo, hi = interval
+    return max(lo - abs(z), abs(z) - hi, 0.0)
+
+
 class TestStackedWitnessSearch:
-    """Unless the closed-form pair certifies, every restart, restart 0
-    included, runs in one stack from pass 1."""
+    """Values the closed-form pair at z does not certify get the closed-form
+    pair at their nearest region point, from the same SVD; ``seed``,
+    ``restarts`` and ``max_iter`` of the retired multi-start search are
+    still validated and have no effect."""
 
     def test_residual_monotone_in_restarts(self, rng):
         a = rand_complex(rng, 4, 3)
         z = 1.3 * float(svd(a).sigma[1]) * np.exp(0.4j)
         assert not rank_k_contains(a, 2, z)
         res = [find_witness(a, 2, z, seed=11, restarts=r).residual for r in (1, 5, 20)]
-        assert res[2] <= res[1] <= res[0]
+        assert res[2] == res[1] == res[0]
 
-    def test_first_certifying_restart_is_a_prefix_property(self, rng):
-        # A non-member's best residual, used as the tolerance, is reached
-        # first by a later restart; every shorter prefix of the restarts
-        # misses it and that prefix length reproduces it exactly.  Here
-        # restart 0 ends at 0.80854 and restart 11 reaches 0.80825.
-        a = rand_complex(rng, 5, 3)
-        z = 1.2 * float(svd(a).sigma[1]) * np.exp(0.7j)
-        tol = find_witness(a, 2, z, seed=3, restarts=20).residual
-        wit = find_witness(a, 2, z, seed=3, restarts=20, tol=tol)
-        assert wit.restarts_used > 1
-        assert wit.residual == tol
-        for j in range(1, wit.restarts_used):
-            assert find_witness(a, 2, z, seed=3, restarts=j, tol=tol).residual > tol
-        again = find_witness(a, 2, z, seed=3, restarts=wit.restarts_used, tol=tol)
-        assert again.restarts_used == wit.restarts_used
-        assert again.residual == wit.residual
-        assert np.array_equal(again.left, wit.left) and np.array_equal(again.right, wit.right)
+    @pytest.mark.parametrize("shape,k,index,factor", [
+        ((5, 3), 2, 1, 1.2), ((4, 3), 1, 0, 1.3), ((3, 3), 2, 2, 0.5), ((3, 3), 2, 1, 0.0),
+        ((4, 4), 3, 2, 0.5), ((2, 5), 2, 1, 1.4), ((5, 4), 3, 3, 0.5), ((8, 6), 5, 4, 0.97)])
+    def test_nonmember_residual_is_sqrt_k_times_the_distance(self, shape, k, index, factor):
+        # the pair at the nearest region point p solves M* A N = p I, so the
+        # residual at z is sqrt(k) |z - p|
+        a = rand_complex(np.random.default_rng(13), *shape)
+        sig = svd(a).sigma
+        z = factor * float(sig[index]) * np.exp(0.7j)
+        assert not rank_k_contains(a, k, z)
+        wit = find_witness(a, k, z)
+        assert_consistent_pair(a, k, wit)
+        assert abs(wit.residual - np.sqrt(k) * distance_from_region(a, k, z)) <= 1e-12 * sig[0]
+        # with that residual as tolerance the same pair certifies
+        at_tol = find_witness(a, k, z, tol=wit.residual)
+        assert at_tol.residual == wit.residual
+        assert np.array_equal(at_tol.left, wit.left) and np.array_equal(at_tol.right, wit.right)
 
     @pytest.mark.parametrize("k,z,member", [(1, 0j, True), (2, 0j, True),
                                             (2, 1e-20, True), (2, 0.5, False)])
     def test_rank_one_matrix(self, rng, k, z, member):
-        # every image A N has rank one: the null-direction frame at the
-        # origin, the polar fallback of a rank-deficient image away from it
+        # every image A N has rank one; 0.5 sigma_1 lies outside the disc of
+        # radius sigma_2, which is 0 to rounding
         a = rand_complex(rng, 4, 1) @ rand_complex(rng, 1, 3)
         wit = find_witness(a, k, z * float(svd(a).sigma[0]), seed=4, restarts=5)
         assert_consistent_pair(a, k, wit)
         assert (wit.residual <= 1e-10) == member
-        assert wit.restarts_used == (1 if member else 5)
+        assert wit.restarts_used == 1
 
-    def test_origin_without_room_uses_least_aligned_frames(self, rng):
-        # a 3x3 image of rank 2 leaves one left null direction for k = 2,
-        # so every step at z = 0 takes the least-aligned directions; 0 lies
-        # in the hole of the ring
+    def test_origin_in_the_hole_takes_the_inner_circle_pair(self, rng):
+        # 0 lies in the hole of a 3x3 ring at k = 2; the pair is the one at
+        # sigma_3 on the positive axis, and the top-3 frame proves 0 outside
         a = rand_complex(rng, 3, 3)
+        sig = svd(a).sigma
         assert not rank_k_contains(a, 2, 0j)
         wit = find_witness(a, 2, 0j, seed=5, restarts=4)
         assert_consistent_pair(a, 2, wit)
-        assert wit.restarts_used == 4
-        assert wit.residual > 1e-8
+        assert abs(wit.residual - np.sqrt(2) * sig[2]) <= 1e-12 * sig[0]
+        frame = wit.left.conj().T @ a @ wit.right
+        assert np.linalg.norm(frame - sig[2] * np.eye(2)) <= 1e-12 * sig[0]
+        assert separating_frame(a, 2, 0j).shape == (3, 3)
 
     def test_wide_nonmember_runs_the_stack_on_the_adjoint(self, rng):
+        # a wide A works on its adjoint, whose pair is the same one swapped
         a = rand_complex(rng, 2, 5)
         top = float(svd(a).sigma[0])
         z = 1.4 * top * np.exp(0.5j)
         wit = find_witness(a, 2, z, seed=6, restarts=6)
         assert wit.left.shape == (2, 2) and wit.right.shape == (5, 2)
-        assert wit.restarts_used == 6
+        assert wit.restarts_used == 1
         assert wit.residual >= (abs(z) - top) * np.sqrt(2) - 1e-8
         assert_consistent_pair(a, 2, wit)
         adj = find_witness(a.conj().T, 2, np.conj(z), seed=6, restarts=6)
@@ -473,87 +535,49 @@ class TestStackedWitnessSearch:
             find_witness(rand_complex(rng, 3, 2), 1, 0.5, max_iter=0)
 
     def test_iterations_of_the_returned_restart(self, rng):
+        # one closed-form pass, whatever max_iter allows
         a = rand_complex(rng, 4, 3)
         z = 1.3 * float(svd(a).sigma[0])
-        assert find_witness(a, 2, z, seed=1, restarts=4, max_iter=1).iterations == 1
-        assert 1 < find_witness(a, 2, z, seed=1, restarts=4).iterations <= 500
-        member = find_witness(a, 2, 0.5 * float(svd(a).sigma[1]), seed=1)
-        assert member.iterations == 1
+        for wit in (find_witness(a, 2, z, seed=1, restarts=4, max_iter=1),
+                    find_witness(a, 2, z, seed=1, restarts=4),
+                    find_witness(a, 2, 0.5 * float(svd(a).sigma[1]), seed=1)):
+            assert (wit.iterations, wit.restarts_used) == (1, 1)
 
-    def test_one_generator_for_the_restarts(self, rng, generator_seeds):
+    def test_no_random_draws(self, rng, generator_seeds):
         a = rand_complex(rng, 5, 3)
-        z = 1.2 * float(svd(a).sigma[0]) * np.exp(0.7j)
-        assert find_witness(a, 2, z, seed=5, restarts=20).restarts_used == 20
-        assert generator_seeds == [(5, 1)]
+        for k, z in ((2, 1.2 * float(svd(a).sigma[0]) * np.exp(0.7j)), (3, 0.1)):
+            find_witness(a, k, z, seed=5, restarts=20)
+        assert generator_seeds == []
 
     @pytest.mark.parametrize("shape,k,scale", [((4, 3), 1, 1.3), ((5, 3), 2, 1.2),
                                                ((3, 3), 2, 1.1), ((2, 5), 2, 1.4)])
     def test_fewer_restarts_run_a_prefix_of_the_frames(self, rng, shape, k, scale):
-        # restarts 1..4 of a 5-restart search are restarts 1..4 of a
-        # 20-restart one, so the longer search can only do better and, with
-        # the shorter one's residual as tolerance, returns the same pair
+        # no restart runs any more, so every seed, restart count and pass
+        # limit returns the same pair
         a = rand_complex(rng, *shape)
         z = scale * float(svd(a).sigma[k - 1]) * np.exp(0.4j)
         assert not rank_k_contains(a, k, z)
-        short = find_witness(a, k, z, seed=12, restarts=5)
-        assert find_witness(a, k, z, seed=12, restarts=20).residual <= short.residual
-        at_short = find_witness(a, k, z, seed=12, restarts=5, tol=short.residual)
-        at_long = find_witness(a, k, z, seed=12, restarts=20, tol=short.residual)
-        assert at_long.restarts_used == at_short.restarts_used <= 5
-        assert at_long.residual == at_short.residual == short.residual
-        assert np.array_equal(at_long.left, at_short.left)
-        assert np.array_equal(at_long.right, at_short.right)
+        base = find_witness(a, k, z)
+        for seed, restarts, max_iter in ((12, 5, 500), (12, 20, 500), (0, 1, 1), (3, 20, 3)):
+            wit = find_witness(a, k, z, seed=seed, restarts=restarts, max_iter=max_iter)
+            assert wit.residual == base.residual
+            assert np.array_equal(wit.left, base.left) and np.array_equal(wit.right, base.right)
 
-    def test_svd_calls_do_not_grow_with_restarts(self, rng, monkeypatch):
-        # one SVD of A, which also gives the closed-form pair, then one per
-        # half-step for the stack of all 20 restarts, restart 0 included.
-        # That makes 18 calls here, as with 2 restarts; running restart 0's
-        # first pass alone ahead of the stack took 19, running it one pass
-        # ahead of the stack 20, running it to its stall first 39, and one
-        # SVD per half-step per restart over 800.
+    def test_svd_calls_do_not_grow_with_restarts(self, rng, svd_calls):
+        # the one SVD of A gives the pair at the nearest point
         a = rand_complex(rng, 5, 3)
         z = 1.2 * float(svd(a).sigma[0]) * np.exp(0.7j)
-        calls = []
-        real_svd = np.linalg.svd
-
-        def counting_svd(x, *args, **kwargs):
-            calls.append(np.shape(x))
-            return real_svd(x, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        find_witness(a, 2, z, seed=5, restarts=2)
-        two = len(calls)
-        calls.clear()
-        wit = find_witness(a, 2, z, seed=5, restarts=20)
-        assert wit.restarts_used == 20
-        assert [shape[0] for shape in calls[1:3]] == [20, 20]
-        assert len(calls) <= 18
-        assert len(calls) <= two
-
-    def test_restart_zero_in_the_stack_matches_restart_zero_alone(self, rng):
-        # every restart ties here, so the 20-restart search returns restart
-        # 0, which ran all of its passes again inside the stack
-        a = rand_complex(rng, 5, 3)
-        z = 1.2 * float(svd(a).sigma[0]) * np.exp(0.7j)
-        alone = find_witness(a, 2, z, seed=3, restarts=1, max_iter=500)
-        joint = find_witness(a, 2, z, seed=3, restarts=20, max_iter=500)
-        assert joint.restarts_used == 20 and alone.iterations > 1
-        assert joint.residual == alone.residual
-        assert joint.iterations == alone.iterations
-        assert np.array_equal(joint.left, alone.left) and np.array_equal(joint.right, alone.right)
-        # with that residual as tol, restart 0 certifies on its first pass
-        at_tol = find_witness(a, 2, z, seed=3, restarts=20, max_iter=500, tol=alone.residual)
-        assert (at_tol.restarts_used, at_tol.iterations, at_tol.residual) == (1, 1, alone.residual)
-        assert np.array_equal(at_tol.left, alone.left) and np.array_equal(at_tol.right, alone.right)
+        for restarts in (2, 20):
+            svd_calls.clear()
+            find_witness(a, 2, z, seed=5, restarts=restarts)
+            assert svd_calls == [(5, 3)]
 
     @pytest.mark.parametrize("j", [-60, -20, 40, 300])
     def test_power_of_two_scaling_leaves_the_search_unchanged(self, j):
-        # the stall rule and the frames' test for a negligible z are
-        # relative, so scaling A, z and tol by 2**j scales every residual
-        # exactly; under an absolute 1e-15 stall floor, 8 of the first seven
-        # cases' 21 rescalings at j = -20, 40, 300 stopped at another pass,
-        # and under unit floors in the origin test 8 of the nine at j = -60
-        # took other frames
+        # scaling A, z and tol by 2**j scales the residual exactly and leaves
+        # the frames as they are; under an absolute 1e-15 stall floor, and
+        # later under unit floors in a test for a negligible z, the retired
+        # descent stopped at other passes or took other frames
         c = 2.0 ** j
         for shape, k, index, factor in SCALING_CASES:
             a = rand_complex(np.random.default_rng(12345), *shape)
@@ -566,14 +590,48 @@ class TestStackedWitnessSearch:
 
     def test_huge_entries_do_not_raise(self):
         # squares of singular values near 1e160 overflowed, and inf / inf
-        # made the mixed start frame NaN; now the search runs and, with
-        # residuals that overflow, stays inconclusive
+        # made the mixed start frame NaN; later the residual overflowed to
+        # inf.  The value lies outside an empty region, so its finite
+        # residual stays above tol
         a = rand_complex(np.random.default_rng(0), 4, 3)
         for scale in (1e160, 1e200, 1e300):
-            with np.errstate(over="ignore"):
-                wit = find_witness(scale * a, 3, 0.5 * scale * float(svd(a).sigma[1]))
-            assert not wit.residual <= 1e-8 * scale
+            wit = find_witness(scale * a, 3, 0.5 * scale * float(svd(a).sigma[1]))
+            assert 1e-8 * scale < wit.residual < np.inf
             assert isometry_defect(wit.left) <= 1e-10 and isometry_defect(wit.right) <= 1e-10
+        # sigma_1 = 3e308 is past the float range, so A is decomposed again
+        # over 2**1024; the member's pair is exact to a relative 1e-15
+        wit = find_witness(np.full((3, 3), 1e308), 1, 1e308)
+        assert wit.residual <= 1e-15 * 3e308
+        assert isometry_defect(wit.left) <= 1e-10 and isometry_defect(wit.right) <= 1e-10
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e160, 1e300])
+    def test_residuals_at_extreme_scales(self, scale):
+        # A and z go in over the power of two at their largest part: at
+        # 1e-300 the residual of a value outside was 0.0, at 1e160 and 1e300
+        # inf or nan.  Every value is checked at scale 1 too
+        a = rand_complex(np.random.default_rng(4), 4, 3)
+        sig = svd(a).sigma
+        for k in (1, 2, 3):
+            for z in (0.5 * sig[k - 1], 1.3 * sig[0] * np.exp(0.4j), 0j):
+                base = find_witness(a, k, z)
+                wit = find_witness(scale * a, k, scale * z)
+                assert np.isfinite(wit.residual)
+                assert (wit.residual <= 1e-8 * scale) == (base.residual <= 1e-8)
+                if base.residual > 1e-8:
+                    assert wit.residual > 0
+                    assert abs(wit.residual / scale - base.residual) <= 1e-12 * sig[0]
+
+    def test_hole_residual_has_no_jump_near_the_origin(self):
+        # a 4x5 A with a zero column at k = 3 has the hole |z| < sigma_4; the
+        # descent's residual jumped at the 1e-14 sigma_1 line, where its
+        # frames switched from least-aligned to polar
+        a = rand_complex(np.random.default_rng(12345), 4, 5)
+        a[:, 2] = 0.0
+        sig = svd(a).sigma
+        for factor in (0.0, 1e-16, 1e-14, 3e-14):
+            z = factor * sig[0] * np.exp(0.7j)
+            wit = find_witness(a, 3, z)
+            assert abs(wit.residual - np.sqrt(3) * (sig[3] - abs(z))) <= 1e-12 * sig[0]
 
 
 # (shape, k, singular-value index, |z| as a multiple of it): members, values
@@ -616,44 +674,6 @@ class TestRingInnerEdge:
         assert not failed
 
 
-def start_stack(a, k, z, count, seed):
-    """The singular-vector start frame of a tall a, then count - 1 random frames."""
-    m, n = a.shape
-    u, sig, vh = np.linalg.svd(a, full_matrices=True)
-    first = _start_frames(sig, u, vh.conj().T, m, n, k, z)[0]
-    return np.concatenate([first[None], random_isometries(n, k, count - 1, (seed, 1))])
-
-
-class TestDescendStack:
-    @pytest.mark.parametrize("shape,k,index,factor,max_iter,member", [
-        ((5, 3), 2, 1, 0.6, 500, True),    # every row certifies on its first pass
-        ((4, 3), 1, 0, 1.0, 500, True),    # on the edge: random rows certify later
-        ((5, 3), 2, 1, 1.2, 500, False),   # every row runs to its stall
-        ((4, 4), 3, 2, 0.5, 500, False),   # inside the hole of a circle
-        ((3, 3), 2, 1, 0.0, 500, False),   # the origin, in the hole of a ring
-        ((5, 3), 2, 0, 1.2, 3, False),     # max_iter cuts every row off
-    ])
-    def test_rows_match_each_frame_alone(self, shape, k, index, factor, max_iter, member):
-        a = rand_complex(np.random.default_rng(7), *shape)
-        sig = svd(a).sigma
-        z = complex(factor * float(sig[index]) * np.exp(0.7j))
-        frames = start_stack(a, k, z, 8, seed=2)
-        stacked = _descend(a, z, frames, max_iter, 1e-8)
-        for i, frame in enumerate(frames):
-            alone = _descend(a, z, frame[None], max_iter, 1e-8)
-            for got, want in zip(stacked, alone):
-                assert np.array_equal(got[i], want[0])
-        residual, iterations = stacked[2:]
-        assert (residual <= 1e-8).all() == member
-        assert iterations.max() <= max_iter
-        if member:
-            assert iterations[0] == 1
-        if factor == 1.0:
-            assert iterations.max() > 1  # rows leave the stack at different passes
-        if max_iter == 3:
-            assert (iterations == 3).all()
-
-
 # verify's prop14 shapes, the witness benchmark's wide and larger shapes, and 1x1
 CERTIFICATE_SHAPES = [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (5, 3), (2, 3), (3, 5),
                       (4, 6), (6, 4), (7, 5), (8, 6), (1, 1)]
@@ -678,13 +698,14 @@ def member_cases():
 
 
 class TestClosedFormCertificate:
-    def test_closed_form_and_descent_both_certify_every_member(self):
+    def test_closed_form_certifies_every_member(self):
         cases = member_cases()
         assert len(cases) == 261
         assert sum(z == 0 for _, _, z in cases) == 75
         assert sum(rank_k_region(a, k).regime == "ring" for a, k, _ in cases) == 36
         for a, k, z in cases:
             assert rank_k_contains(a, k, z)
+            assert separating_frame(a, k, z) is None
             wide = a.shape[0] < a.shape[1]
             arr, zt = (a.conj().T, z.conjugate()) if wide else (a, z)
             m, n = arr.shape
@@ -693,8 +714,6 @@ class TestClosedFormCertificate:
             assert left is not None
             assert isometry_defect(left) <= 1e-12 and isometry_defect(right) <= 1e-12
             assert np.linalg.norm(left.conj().T @ arr @ right - zt * np.eye(k)) <= 1e-12 * sig[0]
-            # the descent from the same start frame is the independent route
-            assert _descend(arr, zt, right[None], 500, 1e-8)[2][0] <= 1e-8
             wit = find_witness(a, k, z)
             assert (wit.restarts_used, wit.iterations) == (1, 1)
             pair = (right, left) if wide else (left, right)
@@ -719,31 +738,29 @@ class TestClosedFormCertificate:
 # (shape, k, singular-value index, |z| as a multiple of it, restarts, max_iter,
 # residual as float.hex, iterations, restarts_used), for the matrix
 # rand_complex(default_rng(100 + row)), z at phase 0.7 and seed 4: members,
-# non-members, wide shapes, z = 0 and max_iter cut-offs.  Non-member rows were
-# recorded before the search ran every restart, restart 0 included, from pass
-# 1 of one stack; member rows when the closed-form pair replaced the descent's
-# first pass.  The last three rows were recorded before a stack in which no
-# row can take the exact frame returned its polar factors at once: a wide
-# k = 3 value outside the disc and a k = 1 one at 8 x 6, where every
-# half-step is polar, and a value in the hole of an 8 x 6 circle, where
-# stacks mix exact and polar rows.
+# non-members, wide shapes, z = 0 and the arguments of the retired search.
+# Member rows were recorded when the closed-form pair replaced the descent's
+# first pass, and non-member rows when the pair at the nearest region point
+# replaced the descent; the last two are non-members of empty regions.
 WITNESS_RESULTS = [
     ((5, 3), 2, 1, 0.6, 20, 500, '0x1.326fc2ba228fdp-49', 1, 1),
-    ((5, 3), 2, 1, 1.2, 20, 500, '0x1.1194a0d6fa472p+0', 4, 20),
-    ((4, 3), 1, 0, 1.3, 20, 500, '0x1.7510ed293457ap+0', 4, 20),
-    ((3, 3), 2, 1, 0.0, 20, 500, '0x1.9b1642fd66009p-1', 7, 20),
-    ((3, 3), 2, 2, 1.5, 20, 500, '0x1.c21e321766661p-1', 4, 20),
-    ((4, 4), 3, 2, 0.5, 20, 500, '0x1.3fe3e885262a7p+1', 4, 20),
+    ((5, 3), 2, 1, 1.2, 20, 500, '0x1.7f89ce180881bp-1', 1, 1),
+    ((4, 3), 1, 0, 1.3, 20, 500, '0x1.7510ed2934571p+0', 1, 1),
+    ((3, 3), 2, 1, 0.0, 20, 500, '0x1.22aeb03fcd57bp+0', 1, 1),
+    ((3, 3), 2, 2, 1.5, 20, 500, '0x1.1a820373623dcp-3', 1, 1),
+    ((4, 4), 3, 2, 0.5, 20, 500, '0x1.c42f2a9c7f4f8p+0', 1, 1),
     ((5, 4), 3, 3, 1.1, 20, 500, '0x1.76c583b50bf72p-50', 1, 1),
     ((2, 5), 2, 1, 0.7, 20, 500, '0x1.65edbcb4c09cfp-50', 1, 1),
-    ((2, 5), 2, 1, 1.4, 6, 500, '0x1.19bcc386f4d06p+1', 4, 6),
+    ((2, 5), 2, 1, 1.4, 6, 500, '0x1.40da841dd9ca6p+1', 1, 1),
     ((4, 2), 2, 0, 0.0, 20, 500, '0x1.26df3a27f2356p-52', 1, 1),
-    ((5, 3), 2, 0, 1.2, 5, 3, '0x1.d85ced11d1c19p+1', 3, 5),
-    ((4, 3), 2, 1, 1.3, 3, 1, '0x1.221adb2273b99p+0', 1, 3),
+    ((5, 3), 2, 0, 1.2, 5, 3, '0x1.42ffcca6bfd4cp+2', 1, 1),
+    ((4, 3), 2, 1, 1.3, 3, 1, '0x1.09e8b38b06de3p+0', 1, 1),
     ((1, 1), 1, 0, 1.0, 20, 500, '0x1.0000000000000p-52', 1, 1),
-    ((3, 6), 3, 2, 1.2, 20, 500, '0x1.21e8cce86f609p+1', 4, 20),
-    ((8, 6), 1, 0, 1.2, 20, 500, '0x1.34388ffeb2e5ep+0', 4, 20),
-    ((8, 6), 5, 4, 0.97, 20, 500, '0x1.e5428e0f5fc92p+1', 4, 20),
+    ((3, 6), 3, 2, 1.2, 20, 500, '0x1.13cb3ba915d46p+0', 1, 1),
+    ((8, 6), 1, 0, 1.2, 20, 500, '0x1.34388ffeb2e57p+0', 1, 1),
+    ((8, 6), 5, 4, 0.97, 20, 500, '0x1.100e07040f366p-3', 1, 1),
+    ((3, 3), 3, 1, 0.5, 20, 500, '0x1.1f00adbeec855p+1', 1, 1),
+    ((4, 5), 4, 3, 1.0, 20, 500, '0x1.3255ccacbee32p+1', 1, 1),
 ]
 
 
@@ -756,11 +773,9 @@ def test_find_witness_matches_recorded_results():
         assert (wit.residual.hex(), wit.iterations, wit.restarts_used) == (residual, iterations, used)
 
 
-# (WITNESS_RESULTS row, np.linalg.svd calls of its find_witness call), recorded
-# with the rows: one SVD of A, then one per half-step of every stack still
-# running.  No isometry repair fires on these searches, so a repair or any
-# other extra decomposition changes a count.
-NONMEMBER_SVD_CALLS = [(1, 26), (3, 14), (5, 8), (8, 8), (13, 8), (14, 104), (15, 8)]
+# (WITNESS_RESULTS row, np.linalg.svd calls of its find_witness call): the one
+# SVD of A, and where the region is empty one more of the m x k image A N.
+NONMEMBER_SVD_CALLS = [(1, 1), (3, 1), (5, 1), (8, 1), (13, 1), (14, 1), (15, 1), (16, 2), (17, 2)]
 
 
 def test_non_member_searches_make_recorded_svd_calls(svd_calls):
@@ -774,29 +789,58 @@ def test_non_member_searches_make_recorded_svd_calls(svd_calls):
 
 
 @settings(max_examples=300)
-@given(k=st.integers(1, 6), extra=st.integers(0, 3), rows=st.integers(1, 4),
+@given(n=st.integers(2, 6), extra=st.integers(0, 4), wide=st.booleans(),
        zero_columns=st.integers(0, 6), low_rank=st.booleans(), exponent=st.integers(-500, 500),
-       ratio=st.floats(1.0 + 1e-9, 4.0), seed=st.integers(0, 2**32 - 1))
-def test_all_polar_stacks_are_isometries(k, extra, rows, zero_columns, low_rank, exponent,
-                                         ratio, seed):
-    # a stack in which no row can take the exact frame returns its polar
-    # factors with no isometry repair: they must stay far inside the
-    # repair's 1e-12, at any scale and for images of any rank
+       ratio=st.floats(0.0, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_fallback_pairs_are_isometries(n, extra, wide, zero_columns, low_rank, exponent, ratio,
+                                       seed):
+    # past the ring regime, at k = n, the region is empty and the left frame
+    # is the polar factor of A N with columns moved to unused directions:
+    # products of LAPACK's orthonormal factors, isometries far inside 1e-12
+    # at any scale and rank, and never farther from z I than the plain polar
+    # factor
     rng = np.random.default_rng(seed)
-    m = k + extra
-    b = rand_complex(rng, rows * m, k).reshape(rows, m, k)
-    if low_rank and k > 1:
-        b = b[:, :, :1] @ rand_complex(rng, 1, k)
-    b[:, :, :min(zero_columns, k)] = 0.0
-    b *= 2.0 ** exponent
-    u, s, vh = np.linalg.svd(b)
-    top = max(float(s[:, -1].max()), 2.0 ** exponent * 1e-3)
-    z = complex(ratio * top * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
-    assert (s[:, -1] < abs(z) * (1.0 - 1e-10)).all()
-    frame = _frames(b, z)
-    assert np.array_equal(frame, (u[:, :, :k] * (np.conj(z) / abs(z))) @ vh)
-    defect = frame.conj().swapaxes(1, 2) @ frame - np.eye(k)
-    assert np.sqrt((np.abs(defect) ** 2).sum(axis=(1, 2))).max() <= 1e-13
+    m = n + extra % (n - 1)  # 3n > m + n + 1
+    a = rand_complex(rng, m, n)
+    if low_rank:
+        a = a[:, :1] @ rand_complex(rng, 1, n)
+    a[:, :min(zero_columns, n - 1)] = 0.0
+    a *= 2.0 ** exponent
+    assume(rank_k_region(a, n).regime == "empty")
+    a, z = (a.T, 1j) if wide else (a, 1.0)
+    z *= ratio * float(svd(a).sigma[0])
+    wit = find_witness(a, n, z)
+    assert isometry_defect(wit.left) <= 1e-13 and isometry_defect(wit.right) <= 1e-13
+    assert 0 < wit.residual < np.inf
+    tall, right = (a.conj().T, wit.left) if wide else (a, wit.right)
+    s = np.linalg.svd(tall @ right, compute_uv=False)
+    polar = np.sqrt(np.sum((s - abs(z)) ** 2))
+    assert wit.residual <= polar * (1 + 1e-12)
+
+
+@settings(max_examples=200)
+@given(m=st.integers(1, 6), n=st.integers(1, 6), k=st.integers(1, 6), ratio=st.floats(0.0, 1.6),
+       phase=st.floats(0.0, 2 * np.pi), rank_one=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_verdicts_agree_and_every_non_member_is_separated(m, n, k, ratio, phase, rank_one, seed):
+    # certification agrees with the interlacing inequalities, and every
+    # non-member outside the 1e-12 sigma_1 band has a frame that proves it
+    # from A alone
+    assume(k <= min(m, n))
+    rng = np.random.default_rng(seed)
+    a = rand_complex(rng, m, n)
+    if rank_one:
+        a = a[:, :1] @ a[:1, :]
+    sig = svd(a).sigma
+    z = ratio * float(sig[0]) * np.exp(1j * phase)
+    radii = [sig[k - 1]] + ([sig[m + n - 2 * k]] if 2 * k > max(m, n) else [])
+    # tol's 1e-8 certifies anything within about 1e-8 of the region
+    assume(all(abs(abs(z) - radius) > 1e-6 * sig[0] for radius in radii))
+    member = rank_k_contains(a, k, z)
+    assert (find_witness(a, k, z).residual <= 1e-8) == member
+    frame = separating_frame(a, k, z)
+    assert (frame is None) == member
+    if frame is not None:
+        assert _separates(a, k, z, frame)
 
 
 def padded(*diagonal, rows):

@@ -79,6 +79,7 @@ ALL_CHECKS = [
     ("prop14", "region-matches-inequalities"),
     ("prop14", "witness-agrees-with-formula"),
     ("prop14", "certified-grid-obeys-axis-bounds"),
+    ("prop14", "non-members-separated"),
     ("prop16", "projector-bounds-hold"),
 ]
 
@@ -168,6 +169,19 @@ def perturb_rank_k_region(monkeypatch):
     return "prop14"
 
 
+def perturb_separating_frame(monkeypatch):
+    original = rankk.separating_frame
+
+    def mutated(a, k, z):
+        # drop the frame's first column: the outside frame then misses the
+        # dimension the proof needs, and the hole frame loses sigma_1
+        frame = original(a, k, z)
+        return None if frame is None else frame[:, 1:]
+
+    monkeypatch.setattr(rankk, "separating_frame", mutated)
+    return "prop14"
+
+
 def perturb_mc_rect_sup(monkeypatch, factor=1.05):
     original = oracles.mc_rect_sup
 
@@ -185,6 +199,7 @@ MUTATIONS = [
     perturb_vector_ellipse,
     perturb_rank_k_region,
     perturb_mc_rect_sup,
+    perturb_separating_frame,
 ]
 
 
@@ -211,6 +226,15 @@ class TestMutationSmoke:
         suite = perturb_mc_rect_sup(monkeypatch, factor)
         results = run_suite(suite, seed=1)
         assert failing_set(results) - KNOWN_RED == {("prop1", check)}
+
+    def test_frame_perturbation_trips_only_the_separation_check(self, monkeypatch):
+        # the region mutation moves the grid and leaves every non-member
+        # proven; only a wrong frame trips the check
+        perturb_rank_k_region(monkeypatch)
+        assert ("prop14", "non-members-separated") not in failing_set(run_suite("prop14", seed=1))
+        monkeypatch.undo()
+        suite = perturb_separating_frame(monkeypatch)
+        assert failing_set(run_suite(suite, seed=1)) == {("prop14", "non-members-separated")}
 
 
 def test_prop14_grid_margins_are_wide(rng):
