@@ -165,7 +165,7 @@ def _cmd_compute(args) -> int:
         return EXIT_DOMAIN
     print(args.out)
     if args.svg is not None:
-        outer = max(sigma[0], 1e-9)
+        outer = sigma[0]
         if name == "wnorm":
             outer = max(outer, radial_interval(region)[1])
         text = render_regions(

@@ -12,17 +12,27 @@ a verdict come with an explicit certificate from one SVD of A:
 equation for a member and attains sqrt(k) times the distance from the region
 for any other value, and ``separating_frame`` gives a frame whose bound,
 checked from A and the frame alone, proves a value outside.
+
+Each matrix is decomposed once: every entry point here, and
+``rectrange``'s rank-1 certificates, read the full SVD of A from a slot
+that keeps the last two this thread took (a wide A's request needs A and
+its adjoint), keyed on the exact shape and bytes of the matrix, its factors
+read-only.  A value off by one ulp is a new matrix.  A matrix more than
+twice as long as it is wide, or with more than 4096 entries, bypasses the
+slot: its full factors would cost far more than the thin SVD its region
+needs, and nothing that size is kept after a call returns.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Annulus, Disc, Empty, Point, Region, Segment, normalize_region
-from .linalg import as_matrix, hermitian_eigen, pow2_exponent, random_isometries, require_ints, svd
+from .linalg import as_matrix, hermitian_eigen, pow2_exponent, random_isometries, require_ints
 
 __all__ = [
     "ProjectorBoundReport",
@@ -58,6 +68,34 @@ class WitnessPair:
     iterations: int     # always 1
 
 
+# the newest two (key, (u, sigma, vh)) entries of each thread, newest first
+_recent = threading.local()
+
+
+def _decomposed(arr: np.ndarray, full: bool):
+    """SVD (u, sigma, vh) of ``arr``: full and read-only from the slot, or as asked.
+
+    A matrix of at most 4096 entries and at most twice as long as it is wide
+    is decomposed in full once while it stays among its thread's last two,
+    keyed on its shape and bytes; its singular values equal the thin SVD's
+    bit for bit.  Any other is decomposed on every call, with
+    ``full_matrices=full``, and kept nowhere.
+    """
+    m, n = arr.shape
+    if max(m, n) > 2 * min(m, n) or m * n > 4096:
+        return np.linalg.svd(arr, full_matrices=full)
+    key = (arr.shape, arr.tobytes())
+    entries = getattr(_recent, "entries", ())
+    for known, factors in entries:
+        if known == key:
+            return factors
+    factors = np.linalg.svd(arr, full_matrices=True)
+    for part in factors:
+        part.flags.writeable = False
+    _recent.entries = ((key, factors),) + entries[:1]
+    return factors
+
+
 def rank_k_region(a, k: int) -> RankKRegion:
     """Region of the rank-k range by the index trichotomy.
 
@@ -73,7 +111,7 @@ def rank_k_region(a, k: int) -> RankKRegion:
     require_ints(1, k=k)
     if k > min(m, n):
         return RankKRegion(k, "empty", Empty())
-    sig = svd(arr).sigma
+    sig = _decomposed(arr, False)[1]
     outer = float(sig[k - 1])
     if 2 * k <= max(m, n):
         return RankKRegion(k, "low", normalize_region(Disc(0j, outer)))
@@ -100,7 +138,7 @@ def rank_k_contains(a, k: int, z) -> bool:
     require_ints(1, k=k)
     if k > min(m, n):
         return False
-    sig = svd(arr).sigma
+    sig = _decomposed(arr, False)[1]
     inner = float(sig[m + n - 2 * k]) if 2 * k > max(m, n) else 0.0
     z = complex(z)
     # math.hypot gives inf where abs() of a finite z raises OverflowError
@@ -224,7 +262,10 @@ def _start_frames(sig, u, v, m: int, n: int, k: int, z: complex):
         return frame, None
     left = u[:, :k] * np.array(coef)
     if need:
-        left[:, need] += u[:, k:k + len(need)] * weights
+        # descending norms make need a leading range, except beside a
+        # mix; a slice adds the same values, in a third of the time
+        p = len(need)
+        left[:, slice(p) if need[-1] == p - 1 else need] += u[:, k:k + p] * weights
     return frame, left
 
 
@@ -274,7 +315,7 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
     if wide:
         # Work on the adjoint so the closed form sees the taller side.
         arr, z, m, n = arr.conj().T, z.conjugate(), n, m
-    u, sig, vh = np.linalg.svd(arr, full_matrices=True)
+    u, sig, vh = _decomposed(arr, True)
     # A, its singular values and z over the power of two at the larger of
     # sigma_1 and |z|: exact, and no square below leaves the float range; a
     # sigma_1 past that range is decomposed again, over 2**1024
@@ -336,7 +377,7 @@ def separating_frame(a, k: int, z):
     if k > min(m, n):
         raise ValueError(f"need 1 <= k <= min(m, n) = {min(m, n)}, got {k}")
     z = complex(z)
-    _, sig, vh = np.linalg.svd(arr, full_matrices=True)
+    _, sig, vh = _decomposed(arr, True)
     r = math.hypot(z.real, z.imag)
     band = 1e-12 * float(sig[0])
     if r > sig[k - 1] + band:
@@ -383,7 +424,7 @@ def projector_intersection_check(a, k: int, n_trials: int, seed: int) -> Project
     require_ints(0, seed=seed)
     if k > min(m, n):
         raise ValueError(f"need 1 <= k <= min(m, n) = {min(m, n)}, got {k}")
-    u_full, sig, vh_full = np.linalg.svd(arr, full_matrices=True)
+    u_full, sig, vh_full = _decomposed(arr, True)
     sigma_k = float(sig[k - 1])
     right_dim = n - k + 1
     left_dim = m - k + 1

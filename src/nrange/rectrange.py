@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import Disc, Region, default_angles, normalize_region
 from .linalg import as_matrix, frobenius_inner, require_ints, require_isometry, sigma_max, svd
-from .rankk import _start_frames, rank_k_region
+from .rankk import _decomposed, _start_frames, rank_k_region
 
 __all__ = [
     "CenterBound",
@@ -88,13 +88,16 @@ def _rank_one_witness(a, z=None, theta: float = 0.0) -> WitnessVectors:
 
     That is ``find_witness(a, 1, z)``'s closed-form pair: ``rankk._start_frames``
     at k = 1 on the full SVD of the taller side (the adjoint of a wide a, with
-    conj(z)).  ValueError where it finds no pair: |z| past sigma_1 (1 + 1e-10),
-    or a 1x1 matrix's z off its circle.
+    conj(z)).  That SVD comes from ``rankk._decomposed``, as every rank-k
+    entry point's does, so a disc and its boundary witnesses decompose a tall
+    or square a once, and a wide one twice: a, then its adjoint.  ValueError
+    where it finds no pair: |z| past sigma_1 (1 + 1e-10), or a 1x1 matrix's z
+    off its circle.
     """
     arr = as_matrix(a)
     wide = arr.shape[0] < arr.shape[1]
     tall = arr.conj().T if wide else arr
-    u, sig, vh = np.linalg.svd(tall, full_matrices=True)
+    u, sig, vh = _decomposed(tall, True)
     top = float(sig[0])
     if z is None:
         if top == 0.0:

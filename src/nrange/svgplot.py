@@ -2,10 +2,14 @@
 
 Fixed 800x800 viewbox with axes scaled to 1.1 times the outer radius; every
 coordinate is formatted with six decimals so identical inputs give identical
-bytes.
+bytes.  Coordinates are first divided by the power of two at the outer
+radius (``pow2_exponent``), which is exact: a figure and the same figure
+scaled by any power of two draw the same bytes, down to subnormal radii.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -20,6 +24,7 @@ from .geometry import (
     Region,
     Segment,
 )
+from .linalg import pow2_exponent
 
 __all__ = ["render_regions"]
 
@@ -34,15 +39,23 @@ def _fmt(v: float) -> str:
 
 class _Canvas:
     def __init__(self, outer_radius: float):
-        self.scale = _HALF / (1.1 * max(outer_radius, 1e-12))
+        # a zero radius (the zero matrix) draws at unit radius
+        self.unit = math.ldexp(1.0, -pow2_exponent(outer_radius))
+        self.reach = 1.1 * (outer_radius * self.unit or 1.0)
+        self.scale = _HALF / self.reach
         self.parts: list[str] = []
 
     def px(self, z):  # one complex number, or an array of them
-        return _HALF + z.real * self.scale, _HALF - z.imag * self.scale
+        return (_HALF + z.real * self.unit * self.scale,
+                _HALF - z.imag * self.unit * self.scale)
 
-    def line(self, za: complex, zb: complex, style: str) -> None:
-        xa, ya = self.px(za)
-        xb, yb = self.px(zb)
+    def axes(self, style: str) -> None:
+        lo, hi = _HALF - self.reach * self.scale, _HALF + self.reach * self.scale
+        self.line((lo, _HALF), (hi, _HALF), style)
+        self.line((_HALF, hi), (_HALF, lo), style)
+
+    def line(self, start, end, style: str) -> None:  # pixel coordinates
+        (xa, ya), (xb, yb) = start, end
         self.parts.append(
             f'<line x1="{_fmt(xa)}" y1="{_fmt(ya)}" x2="{_fmt(xb)}" y2="{_fmt(yb)}" {style}/>'
         )
@@ -50,7 +63,7 @@ class _Canvas:
     def circle(self, centre: complex, radius: float, style: str) -> None:
         cx, cy = self.px(centre)
         self.parts.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius * self.scale)}" '
+            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius * self.unit * self.scale)}" '
             f'fill="none" {style}/>'
         )
 
@@ -90,7 +103,7 @@ def _draw_region(canvas: _Canvas, region: Region, style: str) -> None:
         case Point(z):
             canvas.marker(z, style, size=4.0)
         case Segment(a, b):
-            canvas.line(a, b, style)
+            canvas.line(canvas.px(a), canvas.px(b), style)
         case Disc(c, r) | Circle(c, r):
             canvas.circle(c, r, style)
         case Annulus(c, lo, hi):
@@ -117,10 +130,7 @@ def render_regions(
     arguments.
     """
     canvas = _Canvas(outer_radius)
-    axis_style = 'stroke="#888888" stroke-width="1"'
-    reach = 1.1 * max(outer_radius, 1e-12)
-    canvas.line(complex(-reach, 0.0), complex(reach, 0.0), axis_style)
-    canvas.line(complex(0.0, -reach), complex(0.0, reach), axis_style)
+    canvas.axes('stroke="#888888" stroke-width="1"')
     for region, style in items:
         _draw_region(canvas, region, style)
     for z, style in markers:

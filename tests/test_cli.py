@@ -252,6 +252,29 @@ class TestCompute:
         text = svg.read_text()
         assert text.startswith("<svg") and "<circle" in text
 
+    def test_w_figure_is_the_same_at_every_scale(self, tmp_path):
+        # the disc of [[1, 2], [0.5, -1]] was drawn at 363.636364 px, but at
+        # 0.854829 px at 1e-12 times the matrix and at 0.000000 px at
+        # 2**-1070 times it, under fixed floors on the outer radius
+        figures = []
+        for scale in (1.0, 1e-12, 2.0**-1070):
+            src, out, svg = (tmp_path / f"{scale!r}.{ext}" for ext in ("json", "out.json", "svg"))
+            save_matrix_json(src, scale * np.array([[1, 2], [0.5, -1]]))
+            code = main(["compute", "--input", str(src), "--set", "w",
+                         "--out", str(out), "--svg", str(svg)])
+            assert code == EXIT_OK
+            figures.append([line for line in svg.read_text().splitlines()
+                            if not line.startswith("<text")])
+        assert 'r="363.636364"' in "\n".join(figures[0])
+        assert figures[1] == figures[0] and figures[2] == figures[0]
+
+    def test_w_on_a_long_matrix_makes_only_thin_svds(self, tmp_path, svd_calls):
+        # a full SVD of 2000 x 3 takes about a thousand times the thin one
+        src, out = tmp_path / "long.json", tmp_path / "r.json"
+        save_matrix_json(src, np.random.default_rng(7).standard_normal((2000, 3)))
+        assert main(["compute", "--input", str(src), "--set", "w", "--out", str(out)]) == EXIT_OK
+        assert svd_calls and all(call == ((2000, 3), False) for call in svd_calls)
+
     def test_wnorm_point_marker_stays_on_canvas(self, tmp_path):
         # ||I/sqrt(2)||_F rounds to one, so the region is the point sqrt(2),
         # beyond sigma_1 = 1: the canvas must reach it

@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,9 +12,12 @@ from nrange.geometry import (
     Annulus, Circle, Disc, Empty, Point, Segment, radial_interval, region_contains,
 )
 from nrange.linalg import isometry_defect, random_isometries, random_isometry, svd
+from nrange import rankk
 from nrange.verify import _separates
+from nrange.rectrange import boundary_witness, range_disc
 from nrange.rankk import (
     ProjectorBoundReport,
+    _decomposed,
     _start_frames,
     find_witness,
     hermitian_rank_interval,
@@ -563,14 +570,19 @@ class TestStackedWitnessSearch:
             assert wit.residual == base.residual
             assert np.array_equal(wit.left, base.left) and np.array_equal(wit.right, base.right)
 
-    def test_svd_calls_do_not_grow_with_restarts(self, rng, svd_calls):
-        # the one SVD of A gives the pair at the nearest point
+    def test_svd_calls_do_not_grow_with_restarts(self, rng, forget_svds, svd_calls):
+        # the one SVD of A gives the pair at the nearest point, and a repeat
+        # on the same bytes reads it from the slot
         a = rand_complex(rng, 5, 3)
         z = 1.2 * float(svd(a).sigma[0]) * np.exp(0.7j)
         for restarts in (2, 20):
+            forget_svds()
             svd_calls.clear()
-            find_witness(a, 2, z, seed=5, restarts=restarts)
-            assert svd_calls == [(5, 3)]
+            first = find_witness(a, 2, z, seed=5, restarts=restarts)
+            assert svd_calls == [((5, 3), True)]
+            repeat = find_witness(a, 2, z, seed=5, restarts=restarts)
+            assert svd_calls == [((5, 3), True)]
+            assert repeat.residual == first.residual
 
     @pytest.mark.parametrize("j", [-60, -20, 40, 300])
     def test_power_of_two_scaling_leaves_the_search_unchanged(self, j):
@@ -720,19 +732,147 @@ class TestClosedFormCertificate:
             assert np.array_equal(wit.left, pair[0]) and np.array_equal(wit.right, pair[1])
 
     def test_a_member_costs_one_svd(self, svd_calls):
+        # the first call on a matrix decomposes its taller side, in full, and
+        # every later call on the same bytes reads that from the slot
+        seen = set()
         for a, k, z in member_cases():
             svd_calls.clear()
             assert find_witness(a, k, z).residual <= 1e-8
-            assert svd_calls == [tuple(sorted(a.shape, reverse=True))]
+            first = a.tobytes() not in seen
+            seen.add(a.tobytes())
+            assert svd_calls == ([(tuple(sorted(a.shape, reverse=True)), True)] if first else [])
+        assert len(seen) == 3 * len(CERTIFICATE_SHAPES)
 
     @pytest.mark.parametrize("shape,k", [((1, 1), 1), ((2, 2), 2), ((3, 2), 2), ((3, 3), 3)])
     def test_zero_images_take_their_own_direction(self, svd_calls, shape, k):
         # an image of norm 0 asked for a complement direction, so where none
         # was left the closed form failed and the descent certified z = 0
         wit = find_witness(np.zeros(shape), k, 0)
-        assert svd_calls == [shape]
+        assert svd_calls == [(shape, True)]
         assert (wit.residual, wit.restarts_used, wit.iterations) == (0.0, 1, 1)
         assert isometry_defect(wit.left) <= 1e-15 and isometry_defect(wit.right) <= 1e-15
+
+
+def rank_k_outputs(a, k, z, before_each=lambda: None):
+    """Every rank-k output for (a, k, z), called in a request's order: region,
+    verdict, pair, residual and separating frame; ``before_each`` runs before
+    each call."""
+    calls = (lambda: repr(rank_k_region(a, k)), lambda: rank_k_contains(a, k, z),
+             lambda: find_witness(a, k, z), lambda: separating_frame(a, k, z))
+    region, verdict, wit, frame = [before_each() or call() for call in calls]
+    return [region, verdict, wit.left, wit.right, wit.residual.hex(), frame]
+
+
+def assert_same_outputs(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        assert g is None or np.array_equal(g, w)
+
+
+class TestSharedDecomposition:
+    """Every rank-k entry point reads one full SVD per matrix from one slot."""
+
+    @pytest.mark.parametrize("shape,calls", [((5, 3), [((5, 3), True)]),
+                                             ((4, 4), [((4, 4), True)]),
+                                             ((3, 5), [((3, 5), True), ((5, 3), True)])])
+    def test_a_request_decomposes_each_side_once(self, forget_svds, svd_calls, shape, calls):
+        a, b = (rand_complex(np.random.default_rng(seed), *shape) for seed in (22, 23))
+        sig = np.linalg.svd(a, compute_uv=False)
+        values = (0.5 * sig[1] * np.exp(0.3j), 1.2 * sig[0] * np.exp(0.7j))
+        svd_calls.clear()
+        warm = [rank_k_outputs(a, 2, z) for z in values]
+        assert svd_calls == calls
+        # a bilinear radius request: the disc and its boundary witnesses
+        svd_calls.clear()
+        range_disc(b)
+        for theta in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
+            boundary_witness(b, theta)
+        assert svd_calls == calls
+        for z, got in zip(values, warm):
+            assert_same_outputs(got, rank_k_outputs(a, 2, z, before_each=forget_svds))
+
+    def test_a_one_ulp_change_in_place_misses_the_slot(self, forget_svds, svd_calls):
+        a = rand_complex(np.random.default_rng(25), 4, 3)
+        z = 1.2 * float(np.linalg.svd(a, compute_uv=False)[0]) * np.exp(0.7j)
+        before = rank_k_outputs(a, 2, z)
+        a[1, 2] = complex(np.nextafter(a[1, 2].real, np.inf), a[1, 2].imag)
+        svd_calls.clear()
+        warm = rank_k_outputs(a, 2, z)
+        assert svd_calls == [((4, 3), True)]
+        forget_svds()
+        assert_same_outputs(warm, rank_k_outputs(a, 2, z))
+        # on this matrix the ulp moves every output but the verdict, so a
+        # stale entry would show
+        assert [bool(np.array_equal(w, b)) for w, b in zip(warm, before)] == [
+            False, True, False, False, False, False]
+
+    def test_kept_factors_are_read_only_and_outputs_belong_to_the_caller(self, svd_calls):
+        a = rand_complex(np.random.default_rng(27), 5, 3)
+        for part in _decomposed(a, True):
+            assert not part.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 0.0
+        sig = _decomposed(a, True)[1]
+        values = (0.5 * sig[1] * np.exp(0.3j), 1.2 * sig[0] * np.exp(0.7j))
+        first = [rank_k_outputs(a, 2, z) for z in values]
+        want = [[x.copy() if isinstance(x, np.ndarray) else x for x in out] for out in first]
+        for out in first:
+            for x in out:
+                if isinstance(x, np.ndarray):
+                    x[...] = 0.0
+        for z, expected in zip(values, want):
+            assert_same_outputs(rank_k_outputs(a, 2, z), expected)
+        assert svd_calls == [((5, 3), True)]
+
+    def test_concurrent_requests_match_sequential_ones(self):
+        # four callers on different matrices, wide ones among them, on a
+        # shortened switch interval and yielding the interpreter lock before
+        # every call, so that they interleave call by call: factors read for
+        # another matrix change the bits
+        shapes = [(5, 3), (3, 5), (4, 4), (2, 4)]
+        matrices = [rand_complex(np.random.default_rng(30 + i), *shape)
+                    for i, shape in enumerate(shapes)]
+
+        def requests(a):
+            sig = np.linalg.svd(a, compute_uv=False)
+            return [rank_k_outputs(a, k, z, before_each=lambda: time.sleep(0))
+                    for _ in range(3)
+                    for k in range(1, min(a.shape) + 1)
+                    for z in (0.5 * sig[k - 1] * np.exp(0.3j), 1.2 * sig[0] * np.exp(1.1j))]
+
+        expected = {i: requests(a) for i, a in enumerate(matrices)}
+        start, got = threading.Barrier(len(matrices)), {}
+
+        def run(i):
+            start.wait(timeout=60)
+            got[i] = requests(matrices[i])
+
+        callers = [threading.Thread(target=run, args=(i,)) for i in expected]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for i, outputs in expected.items():
+            assert len(got[i]) == len(outputs)
+            for out, want in zip(got[i], outputs):
+                assert_same_outputs(out, want)
+
+    @pytest.mark.parametrize("shape", [(2000, 3), (3, 2000), (80, 80)])
+    def test_long_or_large_matrices_bypass_the_slot(self, svd_calls, shape):
+        # the full SVD of a 2000 x 3 matrix costs about a thousand times its
+        # thin one, and the factors of either would outlive the call
+        a = rand_complex(np.random.default_rng(26), *shape)
+        for _ in range(2):
+            rank_k_region(a, 1)
+        assert svd_calls == [(shape, False)] * 2
+        assert getattr(rankk._recent, "entries", ()) == ()
 
 
 # (shape, k, singular-value index, |z| as a multiple of it, restarts, max_iter,
@@ -911,7 +1051,7 @@ def test_rank_k_contains_matches_recorded_verdicts():
 
 @pytest.mark.parametrize("z", [np.nan, np.inf, complex(0.5, np.nan), complex(-np.inf, 0.5)],
                          ids=["nan", "inf", "nan-imag", "-inf-real"])
-def test_non_finite_values_agree_on_every_route(monkeypatch, z):
+def test_non_finite_values_agree_on_every_route(monkeypatch, forget_svds, z):
     # rank_k_contains(a, 1, nan) used to be True, and find_witness died in
     # numpy's SVD with "did not converge"
     a = rand_complex(np.random.default_rng(5), 4, 3)
@@ -923,6 +1063,7 @@ def test_non_finite_values_agree_on_every_route(monkeypatch, z):
         raise AssertionError("decomposed a matrix for a value that is not finite")
 
     monkeypatch.setattr(np.linalg, "svd", never)
+    forget_svds()
     for k in (1, 2, 3):
         with pytest.raises(ValueError, match="z must be finite"):
             find_witness(a, k, z)
@@ -931,7 +1072,7 @@ def test_non_finite_values_agree_on_every_route(monkeypatch, z):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("z", [complex(1.7e308, 1.7e308), complex(-1.3e308, 1.3e308)],
                          ids=["first-quadrant", "second-quadrant"])
-def test_finite_value_whose_modulus_overflows(monkeypatch, z):
+def test_finite_value_whose_modulus_overflows(monkeypatch, forget_svds, z):
     # abs(z) raised OverflowError out of all three routes
     a = rand_complex(np.random.default_rng(5), 4, 3)
     for k in (1, 2, 3):
@@ -942,6 +1083,7 @@ def test_finite_value_whose_modulus_overflows(monkeypatch, z):
         raise AssertionError("decomposed a matrix for a value beyond the float range")
 
     monkeypatch.setattr(np.linalg, "svd", never)
+    forget_svds()
     for k in (1, 2, 3):
         with pytest.raises(ValueError, match="z must be finite, and so must its modulus"):
             find_witness(a, k, z)

@@ -248,3 +248,20 @@ def test_prop14_grid_margins_are_wide(rng):
         sig = svd(a).sigma
         assert np.min(-np.diff(sig)) >= 0.05 * sig[0]
         assert sig[-1] >= 0.05 * sig[0]
+
+
+# np.linalg.svd calls of each suite at seed 1.  prop14: for each of its 30
+# matrices, two thin SVDs of its own (drawing it, and its singular values)
+# and one full SVD shared by every region, verdict, witness and separating
+# frame, plus 180 SVDs of the images A N of witnesses in empty regions.
+# prop16: for each of its 28 (matrix, k) pairs, two SVDs of the projected
+# stacks, plus one full SVD of each of its 8 matrices at most twice as long
+# as wide and one per k of the 5 x 2 and 6 x 2 ones, which bypass the slot.
+# A count that grows means a route stopped sharing.
+SUITE_SVD_CALLS = {"prop14": 270, "prop16": 68}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_SVD_CALLS))
+def test_suites_make_recorded_svd_calls(svd_calls, name):
+    assert failing_set(run_suite(name, seed=1)) == set()
+    assert len(svd_calls) == SUITE_SVD_CALLS[name]
