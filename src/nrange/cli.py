@@ -17,11 +17,11 @@ import numpy as np
 
 from . import __version__
 from .fov import fov_boundary, sharp_points
-from .geometry import Circle, ConvexBoundary, radial_interval
+from .geometry import Circle, ConvexBoundary, radial_interval, scale_region
 from .io import MatrixParseError, load_matrix, save_region
-from .linalg import svd
+from .linalg import pow2_scaled, svd, times_pow2
 from .projrange import ProjectorSetting, higher_range, lower_range
-from .rankk import rank_k_region
+from .rankk import _decomposed, rank_k_region
 from .rectrange import norm_range_disc, range_disc
 from .reference import TALL_EXAMPLE, TALL_EXAMPLE_FRAME, WIDE_EXAMPLE
 from .svgplot import render_regions
@@ -104,10 +104,13 @@ def _cmd_compute(args) -> int:
         print(f"error: --angles must be >= 8, got {args.angles}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        matrix = load_matrix(args.input)
+        # computed under pow2_scaled's rule, written scaled back and drawn as
+        # is; sigma is the decomposition the w and phik regions read
+        matrix, e = pow2_scaled(load_matrix(args.input))
         m, n = matrix.shape
-        sigma = [float(s) for s in svd(matrix).sigma]
-        meta = {"set": name, "sigma": sigma, "tool_version": __version__}
+        sigma = _decomposed(matrix, False)[1]
+        meta = {"set": name, "sigma": [float(s) for s in times_pow2(sigma, e)],
+                "tool_version": __version__}
         if name == "w":
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -155,7 +158,7 @@ def _cmd_compute(args) -> int:
         return EXIT_DOMAIN
 
     try:
-        save_region(args.out, region, meta)
+        save_region(args.out, scale_region(region, e), meta)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -165,13 +168,13 @@ def _cmd_compute(args) -> int:
         return EXIT_DOMAIN
     print(args.out)
     if args.svg is not None:
-        outer = sigma[0]
+        outer = float(sigma[0])
         if name == "wnorm":
             outer = max(outer, radial_interval(region)[1])
         text = render_regions(
             [(region, 'stroke="#1f6fb2" stroke-width="2"')],
             outer,
-            annotations=[f"set={name}", "sigma=" + ", ".join(f"{s:.6f}" for s in sigma)],
+            annotations=[f"set={name}", "sigma=" + ", ".join(f"{s:.6f}" for s in meta["sigma"])],
         )
         try:
             Path(args.svg).write_text(text)

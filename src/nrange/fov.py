@@ -15,6 +15,10 @@ itself (with OpenBLAS's default of one thread per CPU, none: the sweep then
 stays on the calling thread).  A sweep of one block runs inline too.  Each
 block writes only its own samples, so the curve does not depend on the
 number of threads.
+
+The matrix enters under ``linalg.pow2_scaled``'s rule and the curve is
+multiplied back, exactly: the sweep of 2**j A is 2**j times A's at every
+scale, and a curve past the float range raises ValueError.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import os
 import numpy as np
 
 from .geometry import BoundaryCurve, SharpPoint, default_angles
-from .linalg import as_matrix, require_ints
+from .linalg import as_matrix, pow2_scaled, require_ints, times_pow2
 
 __all__ = ["fov_boundary", "sharp_points", "support_point"]
 
@@ -37,27 +41,24 @@ _BLAS_THREAD_QUERIES = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get
                         "openblas_get_num_threads64_", "openblas_get_num_threads")
 
 
-def _require_square(a) -> np.ndarray:
+def _require_square(a) -> tuple[np.ndarray, int]:
+    """A square matrix under ``pow2_scaled``'s rule, and its exponent."""
     arr = as_matrix(a)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError("the field of values needs a square matrix")
-    return arr
+    return pow2_scaled(arr)
 
 
 def _solve(arr: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked eigendecompositions of the Hermitian parts of exp(-i theta) arr.
+    """Stacked ``eigh`` of the Hermitian parts (R + R*)/2, R = exp(-i theta) arr.
 
-    (R + R*)/2 is exactly Hermitian in floating point, so no symmetry check
-    is needed; only overflow of the rotated part is rejected.
+    They are exactly Hermitian in floating point, and cannot overflow on a scaled arr.
     """
     phases = np.exp(-1j * angles)
     # with a 2-d 1x1 operand and one angle numpy picks a multiply loop that
     # rounds differently; the 3-d form matches exp(-i theta) * arr exactly
     rot = phases[:, None, None] * arr[None]
-    herm = (rot + rot.conj().swapaxes(-1, -2)) / 2
-    if not np.isfinite(herm).all():
-        raise ValueError("the Hermitian part is not finite at this scale; scale the matrix down")
-    return np.linalg.eigh(herm)
+    return np.linalg.eigh((rot + rot.conj().swapaxes(-1, -2)) / 2)
 
 
 def _forms(arr: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -128,11 +129,11 @@ def support_point(a, theta: float) -> tuple[float, complex]:
 
     Returns ``(p, z)`` where p is the top eigenvalue of the Hermitian part of
     exp(-i theta) a and z the quadratic form of the corresponding unit
-    eigenvector, so Re(exp(-i theta) z) = p.
+    eigenvector, so Re(exp(-i theta) z) = p; inf past the float range.
     """
-    arr = _require_square(a)
+    arr, e = _require_square(a)
     w, v = _solve(arr, np.array([theta], dtype=float))
-    return float(w[0, -1]), complex(_forms(arr, v[:, :, -1])[0])
+    return float(times_pow2(w[0, -1], e)), complex(times_pow2(_forms(arr, v[:, :, -1])[0], e))
 
 
 def fov_boundary(a, n_angles: int = 720) -> BoundaryCurve:
@@ -147,16 +148,14 @@ def fov_boundary(a, n_angles: int = 720) -> BoundaryCurve:
     input stays at or under 256 KiB, with sizes that differ by at most one;
     each block is one stacked ``eigh``.  At 720 angles that is 360 solves:
     one block for n <= 6, two blocks of 180 for n = 7..9, 90 blocks of 4 at
-    n = 60.  The blocks run on one thread per usable CPU that BLAS leaves
-    idle (see ``_workers``); a single block, or a single such CPU, runs them
-    inline on the calling thread.  The result depends neither on the block size nor on the
-    number of threads: samples j < N/2 (every sample of an odd grid) equal
-    the one-angle ``support_point`` bit for bit, and samples j + N/2 agree
-    with it to rounding, because exp(-i theta) at the two angles is not
-    exactly opposite.
+    n = 60, run on threads as the module docstring says.  The result depends
+    neither on the block size nor on the thread count: samples j < N/2 (all
+    of an odd grid) equal the one-angle ``support_point`` bit for bit, and
+    samples j + N/2 agree with it to rounding, because exp(-i theta) at the
+    two angles is not exactly opposite.
     """
     require_ints(8, n_angles=n_angles)
-    arr = _require_square(a)
+    arr, e = _require_square(a)
     angles = default_angles(n_angles)
     support = np.empty(n_angles, dtype=float)
     points = np.empty(n_angles, dtype=complex)
@@ -173,7 +172,7 @@ def fov_boundary(a, n_angles: int = 720) -> BoundaryCurve:
             support[far], points[far] = -w[:, 0], _forms(arr, v[:, :, 0])
 
     _run_blocks(solve, count)
-    return BoundaryCurve(angles, support, points)
+    return BoundaryCurve(angles, times_pow2(support, e), times_pow2(points, e))
 
 
 def sharp_points(curve: BoundaryCurve) -> list[SharpPoint]:

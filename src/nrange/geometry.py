@@ -9,12 +9,12 @@ function of a convex set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Union
 
 import numpy as np
 
-from .linalg import require_ints
+from .linalg import require_ints, times_pow2
 
 __all__ = [
     "Annulus",
@@ -37,6 +37,7 @@ __all__ = [
     "rebuild_support",
     "region_contains",
     "region_support_curve",
+    "scale_region",
     "support_gap",
 ]
 
@@ -52,7 +53,7 @@ class BoundaryCurve:
     """Support-function samples of a convex set on an ascending angle grid.
 
     ``support[j]`` is the largest Re(exp(-i angles[j]) z) over the set and
-    ``points[j]`` a boundary point attaining it.
+    ``points[j]`` a boundary point attaining it, every value finite.
     """
 
     angles: np.ndarray
@@ -67,6 +68,8 @@ class BoundaryCurve:
             raise ValueError("angles, support and points must be aligned 1-d arrays")
         if len(angles) < 2 or np.any(np.diff(angles) <= 0):
             raise ValueError("angles must be strictly ascending")
+        if not (np.isfinite(support).all() and np.isfinite(points).all()):
+            raise ValueError("the curve is not finite at this scale; scale the matrix down")
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "points", points)
@@ -143,7 +146,7 @@ class Ellipse:
 
     def __post_init__(self):
         gap = abs(self.focus1 - self.focus2)
-        if self.major_axis_length < gap - 1e-12 * max(1.0, gap):
+        if self.major_axis_length < gap - 1e-12 * gap:
             raise ValueError("major axis shorter than the focal distance")
 
     def axes(self) -> tuple[complex, float, float, float]:
@@ -263,6 +266,15 @@ def normalize_region(region: Region) -> Region:
             return region
         case _:
             return region
+
+
+def scale_region(region: Region, e: int) -> Region:
+    """The region times 2**e, each number through ``linalg.times_pow2``, normalized."""
+    if isinstance(region, ConvexBoundary):
+        curve = region.curve
+        return ConvexBoundary(BoundaryCurve(curve.angles, times_pow2(curve.support, e),
+                                            times_pow2(curve.points, e)))
+    return normalize_region(type(region)(*(type(v)(times_pow2(v, e)) for v in astuple(region))))
 
 
 def _same_grid(angles: np.ndarray, grid: np.ndarray) -> bool:

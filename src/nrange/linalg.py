@@ -1,7 +1,8 @@
 """Dense complex linear algebra kernels shared by every range computation.
 
 All functions are pure in their inputs (plus an explicit seed for the random
-frame generator), so concurrent use needs no locking.
+frame generator), so concurrent use needs no locking.  ``pow2_scaled`` is the
+one scaling rule of every closed form and sweep, exact at every scale.
 """
 
 from __future__ import annotations
@@ -16,16 +17,19 @@ __all__ = [
     "HermEig",
     "SvdResult",
     "as_matrix",
+    "frobenius",
     "frobenius_inner",
     "hermitian_eigen",
     "isometry_defect",
-    "pow2_exponent",
+    "pow2_scaled",
+    "pow2_shift",
     "random_isometries",
     "random_isometry",
     "require_ints",
     "require_isometry",
     "sigma_max",
     "svd",
+    "times_pow2",
 ]
 
 
@@ -83,28 +87,57 @@ def hermitian_eigen(hm) -> HermEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Raises ValueError when the input deviates from Hermitian symmetry by more
-    than 1e-10 times its Frobenius norm, tested on the input over the power
-    of two at its largest entry, where neither norm under- or overflows.
+    than 1e-10 times its Frobenius norm, tested on the input under
+    ``pow2_scaled``, where neither norm under- or overflows.
     """
     arr = as_matrix(hm)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError("hermitian_eigen needs a square matrix")
-    unit = arr * math.ldexp(1.0, -pow2_exponent(np.abs(arr).max()))
+    unit = pow2_scaled(arr)[0]
     if float(np.linalg.norm(unit - unit.conj().T)) > 1e-10 * float(np.linalg.norm(unit)):
         raise ValueError("matrix is not Hermitian")
     w, v = np.linalg.eigh(arr)
     return HermEig(lam=w[::-1].copy(), frame=v[:, ::-1].copy())
 
 
-def pow2_exponent(*values) -> int:
-    """Exponent e of the power of two at the largest modulus among ``values``.
+def pow2_scaled(x):
+    """``(x * 2**-e, e)``: the library's one scaling rule.
 
-    Dividing by 2**e puts that modulus in [0.5, 1), exactly, so no square of
-    a quotient overflows and the largest does not underflow.  e is 0 when
-    every value is zero, stops at -1021, where 2**-e is still a float, and is
-    1024 for an infinite modulus.
+    x is used as is (e = 0) while its largest real or imaginary part lies in
+    [0.5, 2**400), as is a zero x.  A larger x is divided down to [2**399,
+    2**400), where sums of squares fit and parts 2**1400 smaller keep their
+    bits; a smaller one is multiplied up to [0.5, 1), which loses nothing.
+    Results from the scaled x, multiplied back by ``times_pow2``, agree for
+    every power-of-two multiple of x.  Parts, not moduli, are read, so the
+    rule cannot overflow; an infinite part counts as the largest float.
     """
-    return max(math.frexp(min(max(map(abs, values)), sys.float_info.max))[1], -1021)
+    x = np.asarray(x)
+    e = pow2_shift(max(np.abs(x.real).max(initial=0.0), np.abs(x.imag).max(initial=0.0)))
+    return (times_pow2(x, -e) if e else x), e
+
+
+def pow2_shift(peak: float) -> int:
+    """The e of ``pow2_scaled`` for a value whose largest part is ``peak``."""
+    e = math.frexp(min(peak, sys.float_info.max))[1]
+    return e - min(max(e, 0), 400)
+
+
+def times_pow2(x, e):
+    """x times 2**e part by part, exact up to rounding; inf past the float range, silently."""
+    if not e:
+        return x
+    with np.errstate(over="ignore"):
+        if not np.iscomplexobj(x):
+            return np.ldexp(x, e)
+        out = np.empty_like(x, dtype=complex)
+        out.real, out.imag = np.ldexp(np.real(x), e), np.ldexp(np.imag(x), e)
+        return out
+
+
+def frobenius(x) -> float:
+    """||x||_F with no square over- or underflowing; inf past the float range."""
+    scaled, e = pow2_scaled(x)
+    return float(times_pow2(np.linalg.norm(scaled), e))
 
 
 def random_isometries(m: int, k: int, count: int, seed) -> np.ndarray:

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fov import fov_boundary, sharp_points
-from .geometry import BoundaryCurve, Disc, Ellipse, Region, Segment, normalize_region
-from .linalg import as_matrix, require_isometry
+from .geometry import (BoundaryCurve, ConvexBoundary, Disc, Ellipse, Region, Segment,
+                       normalize_region, scale_region)
+from .linalg import as_matrix, frobenius, pow2_scaled, require_isometry
 
 __all__ = [
     "ProjectorSetting",
@@ -76,16 +77,16 @@ class ProjectorSetting:
 
 def lower_range(setting: ProjectorSetting, n_angles: int = 720) -> BoundaryCurve:
     """Field of values of the compression onto the smaller dimension."""
-    a, h = setting.matrix, setting.frame
+    (a, e), h = pow2_scaled(setting.matrix), setting.frame
     small = h.conj().T @ a if setting.orientation == "tall" else a @ h
-    return fov_boundary(small, n_angles)
+    return scale_region(ConvexBoundary(fov_boundary(small, n_angles)), e).curve
 
 
 def higher_range(setting: ProjectorSetting, n_angles: int = 720) -> BoundaryCurve:
     """Field of values of the embedding into the larger dimension."""
-    a, h = setting.matrix, setting.frame
+    (a, e), h = pow2_scaled(setting.matrix), setting.frame
     big = a @ h.conj().T if setting.orientation == "tall" else h @ a
-    return fov_boundary(big, n_angles)
+    return scale_region(ConvexBoundary(fov_boundary(big, n_angles)), e).curve
 
 
 def vector_ellipse(a) -> Region:
@@ -93,7 +94,8 @@ def vector_ellipse(a) -> Region:
 
     Degenerates to the segment [0, a[0]] when the trailing part vanishes and
     to the centred disc of radius ||a[1:]||/2 when a[0] = 0 (see the module
-    docstring for the axis convention).
+    docstring for the axis convention).  Both norms are ``linalg.frobenius``,
+    so the ellipse of 2**j a is exactly 2**j times the ellipse of a.
     """
     vec = np.asarray(a, dtype=complex).ravel()
     if vec.size < 2:
@@ -101,8 +103,7 @@ def vector_ellipse(a) -> Region:
     if not np.isfinite(vec).all():
         raise ValueError("entries must be finite")
     lead = complex(vec[0])
-    trailing = float(np.linalg.norm(vec[1:]))
-    full = float(np.linalg.norm(vec))
+    trailing, full = frobenius(vec[1:]), frobenius(vec)
     if trailing == 0.0:
         return normalize_region(Segment(0j, lead))
     if lead == 0:

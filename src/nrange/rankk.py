@@ -13,14 +13,15 @@ equation for a member and attains sqrt(k) times the distance from the region
 for any other value, and ``separating_frame`` gives a frame whose bound,
 checked from A and the frame alone, proves a value outside.
 
-Each matrix is decomposed once: every entry point here, and
-``rectrange``'s rank-1 certificates, read the full SVD of A from a slot
-that keeps the last two this thread took (a wide A's request needs A and
-its adjoint), keyed on the exact shape and bytes of the matrix, its factors
-read-only.  A value off by one ulp is a new matrix.  A matrix more than
-twice as long as it is wide, or with more than 4096 entries, bypasses the
-slot: its full factors would cost far more than the thin SVD its region
-needs, and nothing that size is kept after a call returns.
+Each matrix is decomposed once, under ``linalg.pow2_scaled``'s rule: every
+entry point here, and ``rectrange``'s rank-1 certificates, read the full SVD
+of A from a slot that keeps the last two this thread took (a wide A's
+request needs A and its adjoint), keyed on the exact shape and bytes of the
+matrix, its factors read-only.  A value off by one ulp is a new matrix.  A
+matrix more than twice as long as it is wide, or with more than 4096
+entries, bypasses the slot: its full factors would cost far more than the
+thin SVD its region needs, and nothing that size is kept after a call
+returns.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Annulus, Disc, Empty, Point, Region, Segment, normalize_region
-from .linalg import as_matrix, hermitian_eigen, pow2_exponent, random_isometries, require_ints
+from .linalg import (as_matrix, hermitian_eigen, pow2_scaled, pow2_shift, random_isometries,
+                     require_ints, times_pow2)
 
 __all__ = [
     "ProjectorBoundReport",
@@ -79,20 +81,22 @@ def _decomposed(arr: np.ndarray, full: bool):
     is decomposed in full once while it stays among its thread's last two,
     keyed on its shape and bytes; its singular values equal the thin SVD's
     bit for bit.  Any other is decomposed on every call, with
-    ``full_matrices=full``, and kept nowhere.
+    ``full_matrices=full``, and kept nowhere.  Sigma past the float range is inf.
     """
     m, n = arr.shape
-    if max(m, n) > 2 * min(m, n) or m * n > 4096:
-        return np.linalg.svd(arr, full_matrices=full)
-    key = (arr.shape, arr.tobytes())
+    kept = max(m, n) <= 2 * min(m, n) and m * n <= 4096
+    key = (arr.shape, arr.tobytes()) if kept else None
     entries = getattr(_recent, "entries", ())
     for known, factors in entries:
         if known == key:
             return factors
-    factors = np.linalg.svd(arr, full_matrices=True)
-    for part in factors:
-        part.flags.writeable = False
-    _recent.entries = ((key, factors),) + entries[:1]
+    scaled, e = pow2_scaled(arr)
+    u, sig, vh = np.linalg.svd(scaled, full_matrices=full or kept)
+    factors = (u, times_pow2(sig, e), vh)
+    if kept:
+        for part in factors:
+            part.flags.writeable = False
+        _recent.entries = ((key, factors),) + entries[:1]
     return factors
 
 
@@ -207,11 +211,10 @@ def _start_frames(sig, u, v, m: int, n: int, k: int, z: complex):
         hi, lo = available[0], available[-1]
         sa, sp = float(sig[hi]), float(sig[lo])
         if sa > sp:
-            # |z|, sig_lo and sig_hi over the power of two just above sig_hi:
-            # exact, so c^2 is the plain formula's wherever its squares fit,
-            # and no square overflows at any scale
-            e = -math.frexp(sa)[1]
-            ra, rp, rz = math.ldexp(sa, e), math.ldexp(sp, e), math.ldexp(r, e)
+            # scaled by the rule for sig_hi: exact, and no square overflows;
+            # a |z| past sig_hi gives c^2 = 1, as sig_hi itself does
+            e = pow2_shift(sa)
+            ra, rp, rz = (math.ldexp(t, -e) for t in (sa, sp, min(r, sa)))
             c2 = min(max((rz * rz - rp * rp) / (ra * ra - rp * rp), 0.0), 1.0)
             c, s = math.sqrt(c2), math.sqrt(1.0 - c2)
             cols.append(c * v[:, hi] + s * v[:, lo])
@@ -283,11 +286,10 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
                  max_iter: int = 500, tol: float = 1e-8) -> WitnessPair:
     """Isometry pair certifying z in the rank-k range, or the pair at its nearest point.
 
-    Works on the taller of A and its adjoint.  From its one full SVD, A and
-    z are divided by the power of two at the larger of sigma_1 and |z|
-    (``pow2_exponent``): exact, and no square below leaves the float range at
-    any scale.  N and M with M* A N = z I come in closed form where they
-    exist (``_start_frames``), and every member certifies with them: a
+    Works on the taller of A and its adjoint, with A and z scaled by
+    ``linalg.pow2_scaled``'s rule for sigma_1 and z after its one SVD.  N
+    and M with M* A N = z I come in closed form where they exist
+    (``_start_frames``), and every member certifies with them: a
     residual ||M* A N - z I||_F, recomputed from A, M and N and scaled back,
     at most ``tol``.  Any other z moves along its ray (phase 1 at z = 0)
     onto the region's radial interval [sigma_j, sigma_k] of
@@ -316,24 +318,14 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
         # Work on the adjoint so the closed form sees the taller side.
         arr, z, m, n = arr.conj().T, z.conjugate(), n, m
     u, sig, vh = _decomposed(arr, True)
-    # A, its singular values and z over the power of two at the larger of
-    # sigma_1 and |z|: exact, and no square below leaves the float range; a
-    # sigma_1 past that range is decomposed again, over 2**1024
-    e = pow2_exponent(sig[0], z)
-    scale = math.ldexp(1.0, -e)
-    arr, sig, z = arr * scale, sig * scale, z * scale
+    e = pow2_shift(max(sig[0], abs(z.real), abs(z.imag)))
+    arr, sig, z = times_pow2(arr, -e), times_pow2(sig, -e), complex(times_pow2(z, -e))
+    # a sigma_1 past the float range is decomposed again, scaled
     if math.isinf(sig[0]):
         u, sig, vh = np.linalg.svd(arr, full_matrices=True)
-
-    def scaled_back(res):
-        try:
-            return math.ldexp(res, e)
-        except OverflowError:  # a residual past the float range
-            return math.inf
-
     v = vh.conj().T
     right, left = _start_frames(sig, u, v, m, n, k, z)
-    res = scaled_back(_pair_residual(arr, left, right, z))
+    res = float(times_pow2(_pair_residual(arr, left, right, z), e))
     if not res <= tol:
         outer = float(sig[k - 1])
         inner = float(sig[m + n - 2 * k]) if 2 * k > m else 0.0
@@ -341,7 +333,7 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
         phase = z / r if r else 1 + 0j
         if inner <= outer:
             right, left = _start_frames(sig, u, v, m, n, k, min(max(r, inner), outer) * phase)
-            res = scaled_back(_pair_residual(arr, left, right, z))
+            res = float(times_pow2(_pair_residual(arr, left, right, z), e))
         if res == math.inf:
             # the polar factor of A N = U S V*, steered by conj(z)/|z|, with
             # u_i moved to an unused direction of U, which A N never reaches,
@@ -350,7 +342,7 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
             pu, s, pvh = np.linalg.svd(arr @ right)
             d = min(m - k, int(np.count_nonzero(s > 2 * r)))
             left = (pu[:, [*range(k, k + d), *range(d, k)]] * phase.conjugate()) @ pvh
-            res = scaled_back(_off_identity(left.conj().T @ arr @ right, z))
+            res = float(times_pow2(_off_identity(left.conj().T @ arr @ right, z), e))
     if wide:
         left, right = right, left
     return WitnessPair(left=left, right=right, value=value, residual=res,

@@ -4,7 +4,8 @@ For a nonscalar m-by-n matrix the set of bilinear values y* A x over unit
 vectors is the closed disc of radius ||A||_2 around the origin: the rank-1
 range of ``rankk``.  This module takes that disc and the witness pairs of its
 values from rankk's closed forms at k = 1, and covers the norm-based range
-discs taken against a comparison matrix B with ||B||_F >= 1.
+discs taken against a comparison matrix B with ||B||_F >= 1; A enters them
+under ``linalg.pow2_scaled``'s rule, so no square over- or underflows.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import Disc, Region, default_angles, normalize_region
-from .linalg import as_matrix, frobenius_inner, require_ints, require_isometry, sigma_max, svd
+from .linalg import (as_matrix, frobenius, frobenius_inner, pow2_scaled, require_ints,
+                     require_isometry, sigma_max, svd, times_pow2)
 from .rankk import _decomposed, _start_frames, rank_k_region
 
 __all__ = [
@@ -148,74 +150,25 @@ def compression_radius(a, left, right) -> float:
     return sigma_max(lf.conj().T @ arr @ rf)
 
 
-# Inside 2**±_BAND no square of a part leaves the normal float range, with
-# room for the sums of millions of them.
-_BAND = 500
-
-
-def _band_shift(x: np.ndarray, norm: float) -> int:
-    """The e that brings the largest part of x outside 2**±_BAND to that bound, as x * 2**-e.
-
-    0 when ||x||_F, ``norm``, lies inside 2**±400, which puts that part
-    inside the band, and for a zero x.  No modulus is taken, so none
-    overflows.
-    """
-    if 2.0**-400 <= norm <= 2.0**400:
-        return 0
-    e = math.frexp(max(np.abs(x.real).max(), np.abs(x.imag).max()))[1]
-    return e - min(max(e, -_BAND), _BAND)
-
-
-def _frobenius(x: np.ndarray) -> float:
-    """||x||_F with no square over- or underflowing; inf past the float range."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(x))
-    e = _band_shift(x, norm)
-    # a float product saturates at inf where math.ldexp would raise
-    return float(np.linalg.norm(x * 2.0**-e)) * 2.0**e if e else norm
-
-
-def _norm_discs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centres and radii of the norm-range discs of a against a stack b, shape (R, m, n).
+def _norm_discs(a: np.ndarray, b: np.ndarray, eb: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Centres and radii of the norm-range discs of a against 2**eb b, b of shape (R, m, n).
 
     Centre <a, b> / ||b||_F**2, radius ||a - centre b||_F sqrt(1 - ||b||_F^-2).
     A comparison within 1e-12 of unit norm counts as exactly unit, so
     rounding a normalized b cannot flip the result between a point and a
-    rejection.  a, and each comparison, whose largest part lies outside
-    2**±500 enters divided by the power of two that brings it to that bound,
-    and the discs are scaled back: exact, so no square over- or underflows,
-    and inside the band nothing is rescaled.  Past it, a part more than
-    2**1521 below the largest part of its matrix can lose bits.
+    rejection.  a enters under ``linalg.pow2_scaled``'s rule and the discs
+    are scaled back, which is exact; the slack reads the true norms.
     """
-    with np.errstate(over="ignore"):
-        ea = _band_shift(a, float(np.linalg.norm(a)))
-        nb = np.linalg.norm(b, axis=(1, 2))
-    rescaled = ea != 0
-    # |ea|, |eb| <= 573, so each power of two is a float
-    if rescaled:
-        a = a * 2.0**-ea
-    eb = 0
-    if not (2.0**-400 <= nb.min() and nb.max() <= 2.0**400):
-        # the union's comparisons, all of norm 1 to 3, never come here
-        eb = np.array([_band_shift(row, norm) for row, norm in zip(b, nb)])
-        rescaled = True
-        b = b * (2.0**-eb)[:, None, None]
-        nb = np.linalg.norm(b, axis=(1, 2))
+    a, ea = pow2_scaled(a)
+    nb = np.linalg.norm(b, axis=(1, 2))
     # one product per comparison: a disc's bits do not depend on the stack
     centre = (b.reshape(len(b), 1, -1).conj() @ a.reshape(-1, 1))[:, 0, 0] / nb**2
-    # a rescaled comparison's norm is near 2**±500, never unit, and its slack
-    # rounds to 1 or clamps to 0 just as the true norm's does
-    slack = np.where(np.abs(nb - 1.0) <= 1e-12, 0.0, 1.0 - 1.0 / nb**2)
+    true_nb = times_pow2(nb, eb)
+    slack = np.where(np.abs(true_nb - 1.0) <= 1e-12, 0.0, 1.0 - times_pow2(1.0 / nb**2, -2 * eb))
     residual = np.linalg.norm(a - centre[:, None, None] * b, axis=(1, 2))
     radius = residual * np.sqrt(np.maximum(slack, 0.0))
-    if not rescaled:
-        return centre, radius
     # the true values may lie past the float range
-    with np.errstate(over="ignore"):
-        shifted = np.empty_like(centre)
-        shifted.real = np.ldexp(centre.real, ea - eb)
-        shifted.imag = np.ldexp(centre.imag, ea - eb)
-        return shifted, np.ldexp(radius, ea)
+    return times_pow2(centre, ea - eb), times_pow2(radius, ea)
 
 
 def norm_range_disc(a, b) -> Region:
@@ -226,10 +179,10 @@ def norm_range_disc(a, b) -> Region:
     am, bm = as_matrix(a), as_matrix(b)
     if am.shape != bm.shape:
         raise ValueError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    nb = _frobenius(bm)
+    nb = frobenius(bm)
     if nb < 1.0 - 1e-12:
         raise NormHypothesisError(f"the norm range needs ||B||_F >= 1, got {nb:.6g}")
-    (centre,), (radius,) = _norm_discs(am, bm[None])
+    (centre,), (radius,) = _norm_discs(am, *pow2_scaled(bm[None]))
     return normalize_region(Disc(complex(centre), float(radius)))
 
 
@@ -261,7 +214,7 @@ def norm_range_union(a, n_samples: int, seed: int) -> NormRangeUnionReport:
     require_ints(0, seed=seed)
     arr = as_matrix(a)
     rng = np.random.default_rng(seed)
-    frob = _frobenius(arr)
+    frob = frobenius(arr)
     shape = (n_samples, *arr.shape)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     scale = rng.uniform(1.0, 3.0, n_samples)
@@ -269,11 +222,11 @@ def norm_range_union(a, n_samples: int, seed: int) -> NormRangeUnionReport:
     keep = ng != 0.0
     b = g[keep] / ng[keep, None, None] * scale[keep, None, None]
     if frob > 0.0:
-        # 1/||A||_F overflows for a subnormal norm, so A enters in the band
-        e = _band_shift(arr, frob)
-        unit = arr * 2.0**-e if e else arr
+        # 1/||A||_F overflows for a subnormal norm, so A enters scaled
+        unit = pow2_scaled(arr)[0]
         phases = np.exp(-1j * default_angles(32)) / float(np.linalg.norm(unit))
         b = np.concatenate([b, phases[:, None, None] * unit])
+    # with norms 1 to 3, the comparisons need no scaling
     centre, radius = _norm_discs(arr, b)
     reach = np.abs(centre) + radius
     return NormRangeUnionReport(

@@ -2,14 +2,12 @@
 
 Fixed 800x800 viewbox with axes scaled to 1.1 times the outer radius; every
 coordinate is formatted with six decimals so identical inputs give identical
-bytes.  Coordinates are first divided by the power of two at the outer
-radius (``pow2_exponent``), which is exact: a figure and the same figure
-scaled by any power of two draw the same bytes, down to subnormal radii.
+bytes.  Coordinates are first scaled as ``linalg.pow2_scaled`` scales the
+outer radius, which is exact: a figure and the same figure scaled by any
+power of two draw the same bytes, down to subnormal radii.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -24,7 +22,7 @@ from .geometry import (
     Region,
     Segment,
 )
-from .linalg import pow2_exponent
+from .linalg import pow2_scaled, times_pow2
 
 __all__ = ["render_regions"]
 
@@ -40,14 +38,14 @@ def _fmt(v: float) -> str:
 class _Canvas:
     def __init__(self, outer_radius: float):
         # a zero radius (the zero matrix) draws at unit radius
-        self.unit = math.ldexp(1.0, -pow2_exponent(outer_radius))
-        self.reach = 1.1 * (outer_radius * self.unit or 1.0)
+        radius, self.e = pow2_scaled(outer_radius)
+        self.reach = 1.1 * (float(radius) or 1.0)
         self.scale = _HALF / self.reach
         self.parts: list[str] = []
 
     def px(self, z):  # one complex number, or an array of them
-        return (_HALF + z.real * self.unit * self.scale,
-                _HALF - z.imag * self.unit * self.scale)
+        return (_HALF + times_pow2(z.real, -self.e) * self.scale,
+                _HALF - times_pow2(z.imag, -self.e) * self.scale)
 
     def axes(self, style: str) -> None:
         lo, hi = _HALF - self.reach * self.scale, _HALF + self.reach * self.scale
@@ -63,7 +61,8 @@ class _Canvas:
     def circle(self, centre: complex, radius: float, style: str) -> None:
         cx, cy = self.px(centre)
         self.parts.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius * self.unit * self.scale)}" '
+            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
+            f'r="{_fmt(times_pow2(radius, -self.e) * self.scale)}" '
             f'fill="none" {style}/>'
         )
 

@@ -268,6 +268,30 @@ class TestCompute:
         assert 'r="363.636364"' in "\n".join(figures[0])
         assert figures[1] == figures[0] and figures[2] == figures[0]
 
+    def test_fov_figure_is_the_same_at_every_scale(self, tmp_path):
+        # unscaled, the sweep at 2**-1070 times the matrix drew its points up
+        # to 29.7 px from the figure at scale 1
+        polygons = []
+        for scale in (1.0, 1e-12, 2.0**-1070):
+            src, out, svg = (tmp_path / f"{scale!r}.{ext}" for ext in ("json", "out.json", "svg"))
+            save_matrix_json(src, scale * np.array([[1, 2], [0.5, -1]]))
+            code = main(["compute", "--input", str(src), "--set", "fov",
+                         "--out", str(out), "--svg", str(svg)])
+            assert code == EXIT_OK
+            polygons.append([line for line in svg.read_text().splitlines()
+                             if line.startswith("<polygon")])
+        assert len(polygons[0]) == 1
+        assert polygons[1] == polygons[0] and polygons[2] == polygons[0]
+
+    @pytest.mark.parametrize("flags", [["w"], ["phik", "--k", "2"]])
+    def test_small_input_is_decomposed_once(self, tmp_path, svd_calls, flags):
+        # sigma for the region file came from a thin SVD of its own, before
+        # the region's full one
+        src, out = tmp_path / "a.json", tmp_path / "r.json"
+        save_matrix_json(src, np.random.default_rng(3).standard_normal((3, 2)))
+        assert main(["compute", "--input", str(src), "--set", *flags, "--out", str(out)]) == EXIT_OK
+        assert svd_calls == [((3, 2), True)]
+
     def test_w_on_a_long_matrix_makes_only_thin_svds(self, tmp_path, svd_calls):
         # a full SVD of 2000 x 3 takes about a thousand times the thin one
         src, out = tmp_path / "long.json", tmp_path / "r.json"

@@ -1,4 +1,5 @@
 import ctypes
+import math
 import os
 import sys
 import threading
@@ -18,6 +19,7 @@ from nrange.geometry import (
     region_contains,
     support_gap,
 )
+from nrange.linalg import times_pow2
 from nrange.oracles import mc_fov_samples
 from nrange.projrange import ProjectorSetting, lower_range
 from nrange.reference import TALL_EXAMPLE, TALL_EXAMPLE_FRAME
@@ -203,9 +205,27 @@ class TestFovBoundary:
         assert sum(solved) == (n_angles // 2 if n_angles % 2 == 0 else n_angles)
 
     def test_rejects_overflowing_hermitian_part(self):
+        # this matrix was refused, because its Hermitian part overflows at
+        # theta = 0; the sweep now runs on it over 2**624, and the segment
+        # between its eigenvalues 1e308 (1 +- i) has a finite support
         a = np.array([[1e308, 1e308], [-1e308, 1e308]])
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
-            fov_boundary(a, 16)
+        curve = fov_boundary(a, 16)
+        assert curve.support.max() == pytest.approx(math.sqrt(2) * 1e308, rel=1e-15)
+        small = fov_boundary(a / 2.0**1020, 16)
+        assert np.array_equal(curve.support, times_pow2(small.support, 1020))
+        assert np.array_equal(curve.points, times_pow2(small.points, 1020))
+
+    @pytest.mark.parametrize("j", [-1070, -900, -500, 500, 900, 1020])
+    def test_sweep_of_a_power_of_two_multiple_is_exact(self, j):
+        # unscaled, 55 of these 60 sweeps came out other than 2**j times
+        # the sweep of a
+        g = np.random.default_rng(j + 2000)
+        for n in [*range(1, 9), 20, 60]:
+            # the bits 2**j a keeps, at a size whose curve 2**1020 stays finite
+            a = times_pow2(times_pow2(rand_complex(g, n, n) / 16, j), -j)
+            curve, ref = fov_boundary(times_pow2(a, j), 64), fov_boundary(a, 64)
+            assert np.array_equal(curve.support, times_pow2(ref.support, j)), n
+            assert np.array_equal(curve.points, times_pow2(ref.points, j)), n
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError, match="angles"):

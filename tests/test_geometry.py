@@ -141,6 +141,11 @@ class TestCurves:
         with pytest.raises(ValueError, match="ascending"):
             BoundaryCurve(np.array([0.0, 0.0]), np.zeros(2), np.zeros(2, dtype=complex))
 
+    @pytest.mark.parametrize("support, point", [(np.inf, 0j), (0.0, complex(0.0, np.nan))])
+    def test_requires_finite_values(self, support, point):
+        with pytest.raises(ValueError, match="not finite"):
+            BoundaryCurve(np.array([0.0, 1.0]), np.array([0.0, support]), np.array([0j, point]))
+
     def test_axis_intervals_of_disc(self):
         curve = disc_curve(1 + 2j, 0.5, 64)
         (re_lo, re_hi), (im_lo, im_hi) = axis_intervals(curve)
@@ -165,6 +170,14 @@ class TestEllipseSupport:
     def test_validation(self):
         with pytest.raises(ValueError, match="focal"):
             Ellipse(0j, 2 + 0j, 1.0)
+
+    def test_focal_slack_is_relative(self):
+        # under a slack floored at 1e-12 this ellipse, whose major axis is
+        # shorter than its focal distance, was accepted
+        with pytest.raises(ValueError, match="focal"):
+            Ellipse(0j, 1e-13 + 0j, 0.0)
+        # one rounding short of the focal distance is still an ellipse
+        assert Ellipse(0j, 1e-300 + 0j, np.nextafter(1e-300, 0.0)).major_axis_length < 1e-300
 
     def test_axes(self):
         # foci 1 and 1 + 2i, focal sum 4: centre 1 + i, half axes 2 and sqrt(3)

@@ -2,6 +2,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import warnings
 
 import numpy as np
 import pytest
@@ -13,14 +14,16 @@ from nrange.linalg import (
     as_matrix,
     frobenius_inner,
     hermitian_eigen,
+    frobenius,
     isometry_defect,
-    pow2_exponent,
+    pow2_scaled,
     random_isometries,
     random_isometry,
     require_ints,
     require_isometry,
     sigma_max,
     svd,
+    times_pow2,
 )
 from nrange.oracles import power_sigma_max
 from nrange.projrange import ProjectorSetting
@@ -109,21 +112,57 @@ class TestHermitianEigen:
             hermitian_eigen(scale * np.array([[1, 1j], [0, 2]]))
 
 
+def _peak(x):
+    return max(np.abs(np.real(x)).max(), np.abs(np.imag(x)).max())
+
+
 class TestPow2Exponent:
+    """The exponent of ``pow2_scaled``, the library's one scaling rule."""
+
     @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 3.0, 1e160, 1e300])
-    def test_puts_the_largest_modulus_in_the_unit_band(self, rng, scale):
-        values = scale * rand_complex(rng, 4, 3).ravel()
-        top = float(np.abs(values).max())
-        e = pow2_exponent(*values)
-        assert 0.5 <= math.ldexp(top, -e) < 1.0
-        assert pow2_exponent(*values, 4j * top) == e + 2
+    def test_puts_the_largest_part_in_the_band(self, rng, scale):
+        values = scale * rand_complex(rng, 4, 3)
+        scaled, e = pow2_scaled(values)
+        inside = 0.5 <= _peak(values) < 2.0**400
+        assert (e == 0) == inside
+        # outside the band the part lands at the nearer end
+        assert inside or 0.5 <= _peak(scaled) < 1.0 or 2.0**399 <= _peak(scaled) < 2.0**400
+        assert np.array_equal(scaled, times_pow2(values, -e))
+        assert np.array_equal(times_pow2(scaled, e), values)
 
     def test_edges(self):
-        assert pow2_exponent(0.0, 0j) == 0
-        # a subnormal modulus stops at -1021, where 2**1021 is a float
-        assert pow2_exponent(5e-324) == -1021
-        # an infinite modulus takes 1024, as the largest finite ones do
-        assert pow2_exponent(np.float64(np.inf)) == pow2_exponent(1.7e308) == 1024
+        assert pow2_scaled(np.array([0.0, 0j]))[1] == 0
+        assert pow2_scaled(0.5) == (0.5, 0) and pow2_scaled(np.nextafter(0.5, 0.0))[1] == -1
+        top = 2.0**400
+        assert pow2_scaled(np.nextafter(top, 0.0))[1] == 0 and pow2_scaled(top) == (top / 2, 1)
+        # a subnormal part comes up to the band; 2**1074 is not a float
+        assert pow2_scaled(5e-324) == (0.5, -1073)
+        # an infinite part counts as the largest float
+        assert pow2_scaled(np.float64(np.inf))[1] == pow2_scaled(1.7e308)[1] == 624
+        # parts, not moduli: this modulus is past the float range
+        part = math.ldexp(1e308, -624)
+        assert pow2_scaled(1e308 + 1e308j) == (complex(part, part), 624)
+
+    def test_scaling_back_saturates_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = times_pow2(np.array([complex(1e308, -1e308), complex(-0.0, 1.0)]), 1)
+        assert back[0] == complex(np.inf, -np.inf)
+        # part by part: a zero keeps its sign
+        assert math.copysign(1.0, back[1].real) == -1.0
+
+
+class TestFrobenius:
+    @pytest.mark.parametrize("j", [-1070, -600, -401, 0, 401, 600, 1000])
+    def test_scales_exactly(self, rng, j):
+        # x holds only the bits 2**j x keeps, so 2**j x is exact
+        x = times_pow2(times_pow2(rand_complex(rng, 3, 4), j), -j)
+        expected = math.ldexp(float(np.linalg.norm(x)), j)
+        assert frobenius(times_pow2(x, j)) == expected
+
+    def test_past_the_float_range_is_inf(self):
+        assert frobenius(np.array([1.7e308, 1.7e308])) == np.inf
+        assert frobenius(np.array([1e308, 1e308])) == pytest.approx(math.sqrt(2) * 1e308, rel=1e-15)
 
 
 class TestRandomIsometry:

@@ -6,6 +6,7 @@ from nrange.fov import fov_boundary, sharp_points
 from nrange.geometry import (
     ConvexBoundary,
     Disc,
+    Ellipse,
     Point,
     Segment,
     axis_intervals,
@@ -13,7 +14,7 @@ from nrange.geometry import (
     region_support_curve,
     support_gap,
 )
-from nrange.linalg import random_isometry, svd
+from nrange.linalg import random_isometry, svd, times_pow2
 from nrange.projrange import (
     ProjectorSetting,
     default_frame,
@@ -68,6 +69,26 @@ class TestLowerHigher:
         padded = np.hstack([a, np.zeros((5, 2))])
         direct = fov_boundary(padded, 120)
         assert np.max(np.abs(curve.support - direct.support)) <= 1e-12
+
+    @pytest.mark.parametrize("j", [-1070, -1040, 1000])
+    def test_ranges_of_a_power_of_two_multiple_are_exact(self, j):
+        # with a frame other than identity-over-zero, H* A was formed from
+        # the subnormal entries of 2**-1040 A, and lost bits
+        for seed in range(5):
+            for shape in ((5, 3), (3, 5)):
+                a = rand_complex(np.random.default_rng(seed), *shape)
+                a = times_pow2(times_pow2(a, j), -j)
+                frame = random_isometry(5, 3, seed)
+                for sweep in (lower_range, higher_range):
+                    unit = sweep(ProjectorSetting(a, frame), 32)
+                    scaled = sweep(ProjectorSetting(times_pow2(a, j), frame), 32)
+                    assert np.array_equal(scaled.support, times_pow2(unit.support, j))
+                    assert np.array_equal(scaled.points, times_pow2(unit.points, j))
+
+    def test_range_past_the_float_range_raises(self):
+        # the matrix enters scaled, so only the curve scaled back can overflow
+        with pytest.raises(ValueError, match="not finite"):
+            higher_range(ProjectorSetting(np.full((4, 3), 1e308)), 32)
 
     def test_wide_orientation_compression(self, rng):
         a = rand_complex(rng, 3, 5)
@@ -160,6 +181,25 @@ class TestVectorEllipse:
 
     def test_zero_vector_is_origin(self):
         assert vector_ellipse(np.zeros(3)) == Point(0j)
+
+    @pytest.mark.parametrize("j", [-1000, -565, 565, 1000])
+    def test_ellipse_of_a_power_of_two_multiple_is_exact(self, j):
+        # the norms under- or overflowed: at 2**-565 the trailing norm came
+        # out 0 (a Segment), at 2**565 the major axis inf
+        s = 2.0**j
+        for vec in ([3 + 1j, 1, 2j], [0, 1, 2j], [1e-3, 2 - 1j, 0.5j, 7]):
+            vec = np.array(vec, dtype=complex)
+            unit = vector_ellipse(vec)
+            expected = (Disc(0j, s * unit.radius) if isinstance(unit, Disc)
+                        else Ellipse(0j, s * unit.focus2, s * unit.major_axis_length))
+            assert vector_ellipse(s * vec) == expected
+
+    def test_norms_do_not_underflow_or_overflow(self):
+        small = vector_ellipse(1e-170 * np.array([3 + 1j, 1, 2j]))
+        assert isinstance(small, Ellipse) and small.major_axis_length == pytest.approx(1e-170 * 15**0.5)
+        assert vector_ellipse(1e-170 * np.array([0, 1, 2j])) == Disc(0j, 1e-170 * 5**0.5 / 2)
+        assert vector_ellipse(1e170 * np.array([3 + 1j, 1, 2j])).major_axis_length == pytest.approx(
+            1e170 * 15**0.5)
 
     def test_rejects_scalar(self):
         with pytest.raises(ValueError):

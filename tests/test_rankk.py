@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import time
@@ -11,7 +12,7 @@ from conftest import rand_complex
 from nrange.geometry import (
     Annulus, Circle, Disc, Empty, Point, Segment, radial_interval, region_contains,
 )
-from nrange.linalg import isometry_defect, random_isometries, random_isometry, svd
+from nrange.linalg import isometry_defect, random_isometries, random_isometry, svd, times_pow2
 from nrange import rankk
 from nrange.verify import _separates
 from nrange.rectrange import boundary_witness, range_disc
@@ -632,6 +633,14 @@ class TestStackedWitnessSearch:
                 if base.residual > 1e-8:
                     assert wit.residual > 0
                     assert abs(wit.residual / scale - base.residual) <= 1e-12 * sig[0]
+
+    def test_value_far_outside_a_subnormal_matrix(self):
+        # c^2 of a mixed column was taken over the power of two at sigma_hi,
+        # which raised OverflowError for |z| = 1 and sigma_hi near 2**-1070
+        a = times_pow2(rand_complex(np.random.default_rng(1), 3, 3), -1070)
+        wit = find_witness(a, 2, 1.0)
+        # sqrt(2) times the distance 1 - sigma_2 from the ring
+        assert wit.residual == pytest.approx(math.sqrt(2), rel=1e-12)
 
     def test_hole_residual_has_no_jump_near_the_origin(self):
         # a 4x5 A with a zero column at k = 3 has the hole |z| < sigma_4; the

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nrange.linalg import times_pow2
 from nrange.svgplot import _Canvas, _fmt
 
 
@@ -17,7 +18,7 @@ def test_polyline_bytes_match_per_point_formatting(count):
     if count:
         # points mapped to a pixel coordinate just below zero print as
         # "-0.000000" before the sign is dropped
-        edge = 400.0 / (canvas.scale * canvas.unit)
+        edge = times_pow2(400.0 / canvas.scale, canvas.e)
         zs[:3] = [complex(-edge - 1e-13, edge + 1e-13), complex(-0.0, -0.0), complex(-edge, 0.0)]
         assert "-0.000000" in f"{canvas.px(zs[0])[0]:.6f}"
     canvas.polyline(np.array(zs, dtype=complex), 'stroke="#000000"')
