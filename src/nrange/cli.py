@@ -109,7 +109,9 @@ def _cmd_compute(args) -> int:
         matrix, e = pow2_scaled(load_matrix(args.input))
         m, n = matrix.shape
         sigma = _decomposed(matrix, False)[1]
-        meta = {"set": name, "sigma": [float(s) for s in times_pow2(sigma, e)],
+        true_sigma = times_pow2(sigma, e)
+        # a sigma past the float range is written as null, so the file stays strict JSON
+        meta = {"set": name, "sigma": [float(s) if np.isfinite(s) else None for s in true_sigma],
                 "tool_version": __version__}
         if name == "w":
             with warnings.catch_warnings(record=True) as caught:
@@ -174,7 +176,7 @@ def _cmd_compute(args) -> int:
         text = render_regions(
             [(region, 'stroke="#1f6fb2" stroke-width="2"')],
             outer,
-            annotations=[f"set={name}", "sigma=" + ", ".join(f"{s:.6f}" for s in meta["sigma"])],
+            annotations=[f"set={name}", "sigma=" + ", ".join(f"{s:.6f}" for s in true_sigma)],
         )
         try:
             Path(args.svg).write_text(text)

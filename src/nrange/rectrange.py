@@ -38,6 +38,10 @@ __all__ = [
     "rank_one_value",
 ]
 
+# cap on the bytes of one block of the union's (c, m, n) complex comparisons,
+# the cap of the field-of-values sweep's stacks
+_CHUNK_BYTES = 2**18
+
 
 class NormHypothesisError(ValueError):
     """The comparison matrix fails the ||B||_F >= 1 hypothesis."""
@@ -198,6 +202,24 @@ class NormRangeUnionReport:
     seed: int
 
 
+def _comparisons(unit: np.ndarray, re: np.ndarray, im: np.ndarray, scale: np.ndarray,
+                 frob: float):
+    """The union's comparisons, a block of at most ``_CHUNK_BYTES`` at a time.
+
+    Block by block, G = re + i im is normalized and scaled, a zero G dropped;
+    the 32 rotated copies of the nonzero ``unit``, of norm ``frob``, come last.
+    """
+    step = max(1, _CHUNK_BYTES // (16 * unit.size))
+    for lo in range(0, len(scale), step):
+        g = re[lo:lo + step] + 1j * im[lo:lo + step]
+        ng = np.linalg.norm(g, axis=(1, 2))
+        keep = ng != 0.0
+        yield g[keep] / ng[keep, None, None] * scale[lo:lo + step][keep, None, None]
+    if frob > 0.0:
+        phases = np.exp(-1j * default_angles(32)) / frob
+        yield phases[:, None, None] * unit
+
+
 def norm_range_union(a, n_samples: int, seed: int) -> NormRangeUnionReport:
     """Random plus deterministic sweep of norm-range discs.
 
@@ -207,34 +229,42 @@ def norm_range_union(a, n_samples: int, seed: int) -> NormRangeUnionReport:
     The draws are three calls on one generator: the real parts of all G,
     then their imaginary parts, then all the scales; a seed therefore samples
     other comparisons than versions that drew G and s one sample at a time.
-    Every disc is ``norm_range_disc``'s, from one ``_norm_discs`` call on the
-    whole stack, so memory grows as n_samples * m * n.
+    Only the draws grow as n_samples * m * n: the comparisons and their discs
+    are formed a block of at most ``_CHUNK_BYTES`` at a time, one
+    ``_norm_discs`` call per block, and a disc's bits do not depend on its
+    block.  A disc reaching past ||A||_F (1 + 1e-9) counts as a violation,
+    read on the discs of A under ``linalg.pow2_scaled``'s rule, where none
+    under- or overflows, so the count is the same for every power-of-two
+    multiple of A; ``sup_abs`` is read from the discs scaled back.
     """
     require_ints(1, n_samples=n_samples)
     require_ints(0, seed=seed)
     arr = as_matrix(a)
     rng = np.random.default_rng(seed)
-    frob = frobenius(arr)
     shape = (n_samples, *arr.shape)
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
     scale = rng.uniform(1.0, 3.0, n_samples)
-    ng = np.linalg.norm(g, axis=(1, 2))
-    keep = ng != 0.0
-    b = g[keep] / ng[keep, None, None] * scale[keep, None, None]
-    if frob > 0.0:
-        # 1/||A||_F overflows for a subnormal norm, so A enters scaled
-        unit = pow2_scaled(arr)[0]
-        phases = np.exp(-1j * default_angles(32)) / float(np.linalg.norm(unit))
-        b = np.concatenate([b, phases[:, None, None] * unit])
+    # 1/||A||_F overflows for a subnormal norm, so A enters scaled
+    unit, e = pow2_scaled(arr)
+    frob = float(np.linalg.norm(unit))
+    n_discs, sup_abs, violations = 0, 0.0, 0
     # with norms 1 to 3, the comparisons need no scaling
-    centre, radius = _norm_discs(arr, b)
-    reach = np.abs(centre) + radius
+    for b in _comparisons(unit, re, im, scale, frob):
+        centre, radius = _norm_discs(unit, b)
+        reach = np.abs(centre) + radius
+        violations += int(np.count_nonzero(reach > frob + 1e-9 * frob))
+        if e:
+            # the reach of the discs as norm_range_disc returns them
+            reach = np.abs(times_pow2(centre, e)) + times_pow2(radius, e)
+        sup_abs = max(sup_abs, float(reach.max(initial=0.0)))
+        n_discs += len(b)
     return NormRangeUnionReport(
         n_samples=n_samples,
-        n_discs=len(b),
-        sup_abs=float(reach.max(initial=0.0)),
-        containment_violations=int(np.count_nonzero(reach > frob + 1e-9)),
-        frobenius_radius=frob,
+        n_discs=n_discs,
+        sup_abs=sup_abs,
+        containment_violations=violations,
+        frobenius_radius=float(times_pow2(frob, e)),
         seed=seed,
     )
 
@@ -249,9 +279,11 @@ def center_bound_check(a, b) -> CenterBound:
 
     Hypothesis: the 2-norm of b's singular values (its Frobenius norm) is at
     least sqrt(rank b).  When it holds, the centre magnitude
-    |<a, b>| / ||b||_F**2 cannot exceed the spectral norm of a.  Both flags
-    are reported; the bound is only asserted elsewhere when the hypothesis
-    held.
+    |<a, b>| / ||b||_F**2 cannot exceed the spectral norm of a; the flag
+    allows it a relative 1e-9, read on a under ``linalg.pow2_scaled``'s
+    rule, so it is the same for every power-of-two multiple of a.  Both
+    flags are reported; the bound is only asserted elsewhere when the
+    hypothesis held.
     """
     am, bm = as_matrix(a), as_matrix(b)
     if am.shape != bm.shape:
@@ -262,8 +294,10 @@ def center_bound_check(a, b) -> CenterBound:
     rank = int(np.sum(sig_b > 1e-10 * sig_b[0]))
     frob_b = float(np.linalg.norm(sig_b))
     hypothesis = frob_b >= np.sqrt(rank)
-    centre = abs(frobenius_inner(am, bm)) / frob_b**2
-    bound = centre <= sigma_max(am) + 1e-9
+    unit = pow2_scaled(am)[0]
+    centre = abs(frobenius_inner(unit, bm)) / frob_b**2
+    top = sigma_max(unit)
+    bound = centre <= top + 1e-9 * top
     return CenterBound(bool(hypothesis), bool(bound))
 
 

@@ -139,6 +139,28 @@ class TestCompute:
         assert captured.err == "error: the region is not finite at this scale; scale the matrix down\n"
         assert not out.exists() and not (tmp_path / "r.svg").exists()
 
+    def test_sigma_beyond_the_float_range_is_written_as_null(self, tmp_path, capsys):
+        # sigma_1 = 2e308 but the field of values is the disc of radius 1e308:
+        # compute exited 4 because json refused the infinite sigma
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"rows": 2, "cols": 2, "data": [
+            [1e308, 0], [1e308, 0], [-1e308, 0], [-1e308, 0]]}))
+        for set_name in ("fov", "wl", "wh"):
+            out = tmp_path / f"{set_name}.json"
+            code = main(["compute", "--input", str(big), "--set", set_name, "--angles", "16",
+                         "--out", str(out), "--svg", str(tmp_path / f"{set_name}.svg")])
+            assert code == EXIT_OK
+            payload = json.loads(out.read_text(), parse_constant=pytest.fail)
+            assert payload["meta"]["sigma"] == [None, 0.0]
+            assert "sigma=inf, 0.000000" in (tmp_path / f"{set_name}.svg").read_text()
+        capsys.readouterr()
+        # the w region is the disc of radius sigma_1 itself, which does overflow
+        out = tmp_path / "w.json"
+        code = main(["compute", "--input", str(big), "--set", "w", "--out", str(out)])
+        assert code == EXIT_DOMAIN
+        assert not out.exists()
+        assert "the region is not finite" in capsys.readouterr().err
+
     def test_unknown_set_is_usage_error(self, tmp_path, wide_file):
         code = main(
             ["compute", "--input", str(wide_file), "--set", "nope", "--out", str(tmp_path / "r")]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from nrange.linalg import random_isometry, sigma_max, svd
 from nrange.oracles import mc_rect_sup
 from nrange.rankk import find_witness, rank_k_region
 from nrange.rectrange import (
+    _CHUNK_BYTES,
     NormHypothesisError,
     _norm_discs,
     boundary_witness,
@@ -432,6 +435,83 @@ class TestNormRange:
             assert report.containment_violations == 0
 
 
+def _one_stack_union(a, n_samples, seed):
+    """The union's report fields, every comparison in one stack and one ``_norm_discs`` call."""
+    draws = np.random.default_rng(seed)
+    shape = (n_samples, *a.shape)
+    g = draws.standard_normal(shape) + 1j * draws.standard_normal(shape)
+    scale = draws.uniform(1.0, 3.0, n_samples)
+    ng = np.linalg.norm(g, axis=(1, 2))
+    keep = ng != 0.0
+    frob = float(np.linalg.norm(a))
+    b = g[keep] / ng[keep, None, None] * scale[keep, None, None]
+    phases = np.exp(-1j * default_angles(32)) / frob
+    b = np.concatenate([b, phases[:, None, None] * a])
+    centre, radius = _norm_discs(a, b)
+    reach = np.abs(centre) + radius
+    return len(b), float(reach.max()), int(np.count_nonzero(reach > frob + 1e-9 * frob)), frob
+
+
+class TestBlockedUnion:
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (8, 7)])
+    def test_blocks_match_one_stack_bit_for_bit(self, rng, m, n):
+        a = rand_complex(rng, m, n)
+        block = _CHUNK_BYTES // (16 * m * n)
+        for n_samples in (1, block - 1, block, block + 1, 2000):
+            report = norm_range_union(a, n_samples, n_samples + 5)
+            fields = (report.n_discs, report.sup_abs, report.containment_violations,
+                      report.frobenius_radius)
+            assert fields == _one_stack_union(a, n_samples, n_samples + 5)
+
+    def test_zero_draws_are_dropped(self, rng, monkeypatch):
+        real_rng = np.random.default_rng
+
+        class ZeroEveryThird:
+            """Gaussian draws with every third sample's G set to zero."""
+
+            def __init__(self, seed):
+                self.draws = real_rng(seed)
+
+            def standard_normal(self, shape):
+                parts = self.draws.standard_normal(shape)
+                parts[::3] = 0.0
+                return parts
+
+            def uniform(self, low, high, size):
+                return self.draws.uniform(low, high, size)
+
+        monkeypatch.setattr(np.random, "default_rng", ZeroEveryThird)
+        a = rand_complex(rng, 8, 7)
+        report = norm_range_union(a, 2000, 4)
+        # 667 of the 2000 G are zero, across more than one block
+        assert report.n_discs == 1333 + 32
+        assert report.containment_violations == 0
+        assert report.sup_abs == pytest.approx(report.frobenius_radius, rel=1e-12)
+
+    def test_peak_memory_is_below_two_comparison_stacks(self, rng):
+        a = rand_complex(rng, 8, 7)
+        stack_bytes = 2000 * a.size * 16
+        norm_range_union(a, 2000, 0)
+        tracemalloc.start()
+        try:
+            norm_range_union(a, 2000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole-stack version peaked at 4.2 stacks
+        assert peak < 2 * stack_bytes
+
+    def test_violation_count_at_extreme_scales(self):
+        # an absolute 1e-9 slack counted 29 of 82 discs outside at 2**900
+        draws = np.random.default_rng(0)
+        a = draws.standard_normal((2, 3)) + 1j * draws.standard_normal((2, 3))
+        a = a / np.abs(a).max()
+        for power in (-900, 0, 900):
+            report = norm_range_union(2.0**power * a, 50, 1)
+            assert report.n_discs == 82
+            assert report.containment_violations == 0
+
+
 class TestCenterBound:
     def test_embedded_unitary_hypothesis_holds(self, rng):
         u = random_isometry(3, 3, seed=11)
@@ -457,6 +537,16 @@ class TestCenterBound:
                 held += 1
                 assert flags.bound_holds
         assert held > 0
+
+    def test_sharp_bound_at_extreme_scales(self, rng):
+        # B = u1 v1* puts the centre on sigma_1; an absolute 1e-9 slack
+        # failed about half of these at 2**600
+        for _ in range(200):
+            a = rand_complex(rng, 3, 3)
+            u, _, vh = np.linalg.svd(a)
+            b = np.outer(u[:, 0], vh[0])
+            for power in (-600, 0, 600):
+                assert center_bound_check(2.0**power * a, b).bound_holds
 
     def test_rejects_zero_comparison(self):
         with pytest.raises(ValueError, match="nonzero"):
