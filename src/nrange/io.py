@@ -10,11 +10,14 @@ One table, ``_KINDS``, maps each tag to its region dataclass and the payload
 keys of its fields in field order; a field annotated ``complex`` is written
 as an ``[re, im]`` pair and every other field as a float.  Only ``boundary``
 (a sampled ``ConvexBoundary``) has its own layout: ``angles`` and ``support``
-lists and a list of ``[re, im]`` points.
+lists and a list of ``[re, im]`` points.  A boundary's ``angles`` text is
+encoded once per grid and reused, keyed on the grid's exact bytes, so a
+sweep's files format a quarter fewer floats and keep every byte.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import fields
@@ -186,19 +189,65 @@ def region_to_payload(region: Region, meta: dict) -> dict:
     return body
 
 
+def _required(payload: dict, kind: str, key: str):
+    try:
+        return payload[key]
+    except KeyError:
+        raise ValueError(f"{kind} region has no {key!r}") from None
+
+
+def _is_pair(entry) -> bool:
+    try:
+        return np.array(entry, dtype=float).shape == (2,)
+    except (TypeError, ValueError):
+        return False
+
+
+def _points(pairs) -> np.ndarray:
+    """A boundary's ``[re, im]`` points as complex; ValueError naming the first bad one."""
+    try:
+        xy = np.array(pairs, dtype=float)
+    except (TypeError, ValueError):
+        xy = None
+    if xy is None or xy.ndim != 2 or xy.shape[1] != 2:
+        entries = pairs if isinstance(pairs, list) else []
+        index = next((i for i, entry in enumerate(entries) if not _is_pair(entry)), None)
+        if index is None:
+            raise ValueError("boundary points must be a list of [re, im] pairs of numbers")
+        raise ValueError(f"boundary point {index} must be an [re, im] pair of numbers")
+    # the pairs' bits as they are: re + 1j*im would turn the sign of a zero
+    return xy.view(complex)[:, 0]
+
+
+def _number(value, kind: str, key: str, pair: bool):
+    try:
+        if not pair:
+            return float(value)
+        if isinstance(value, list) and len(value) == 2:
+            return complex(float(value[0]), float(value[1]))
+    except (TypeError, ValueError):
+        pass
+    want = "an [re, im] pair of numbers" if pair else "a number"
+    raise ValueError(f"{kind} region's {key!r} must be {want}")
+
+
 def region_from_payload(payload: dict) -> tuple[Region, dict]:
-    """Inverse of :func:`region_to_payload`."""
+    """Inverse of :func:`region_to_payload`.
+
+    ValueError for a payload that is not an object, an unknown ``kind``, a
+    missing key, or an entry of the wrong shape, naming the key or the entry.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"a region payload is a JSON object, got {type(payload).__name__}")
     kind = payload.get("kind")
     meta = payload.get("meta", {})
     if kind == "boundary":
-        re_parts, im_parts = zip(*payload["points"])
-        # filled part by part: re + 1j*im would turn the sign of a zero
-        points = np.empty(len(re_parts), dtype=complex)
-        points.real, points.imag = re_parts, im_parts
+        angles, support, pairs = (_required(payload, kind, key)
+                                  for key in ("angles", "support", "points"))
         curve = BoundaryCurve(
-            np.array(payload["angles"], dtype=float),
-            np.array(payload["support"], dtype=float),
-            points,
+            np.array(angles, dtype=float),
+            np.array(support, dtype=float),
+            _points(pairs),
         )
         return ConvexBoundary(curve), meta
     try:
@@ -206,16 +255,37 @@ def region_from_payload(payload: dict) -> tuple[Region, dict]:
     except (KeyError, TypeError):  # TypeError: an unhashable tag
         raise ValueError(f"unknown region kind: {kind!r}") from None
     values = [
-        complex(float(payload[key][0]), float(payload[key][1]))
-        if field.type == "complex" else float(payload[key])
+        _number(_required(payload, kind, key), kind, key, field.type == "complex")
         for key, field in zip(keys, fields(cls))
     ]
     return cls(*values), meta
 
 
+# the angles' stand-in while the rest of a boundary is encoded; region_to_payload
+# puts angles ahead of meta, so its first occurrence is that slot whatever meta holds
+_ANGLES_SLOT = "\0angles"
+
+
+@functools.lru_cache(maxsize=4)
+def _angles_text(grid: bytes) -> str:
+    """JSON text of an angle grid, given its float64 bytes."""
+    return json.dumps(np.frombuffer(grid).tolist(), allow_nan=False)
+
+
 def save_region(path, region: Region, meta: dict) -> None:
-    """Write a region file; ValueError, and no file, when a float is not finite."""
-    Path(path).write_text(json.dumps(region_to_payload(region, meta), allow_nan=False))
+    """Write a region file; ValueError, and no file, when a float is not finite.
+
+    The text is ``json.dumps(region_to_payload(region, meta), allow_nan=False)``
+    byte for byte; a boundary's angles are spliced in from ``_angles_text``.
+    """
+    payload = region_to_payload(region, meta)
+    if isinstance(region, ConvexBoundary):
+        payload["angles"] = _ANGLES_SLOT
+        text = json.dumps(payload, allow_nan=False).replace(
+            json.dumps(_ANGLES_SLOT), _angles_text(region.curve.angles.tobytes()), 1)
+    else:
+        text = json.dumps(payload, allow_nan=False)
+    Path(path).write_text(text)
 
 
 def load_region(path) -> tuple[Region, dict]:

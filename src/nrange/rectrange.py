@@ -235,7 +235,8 @@ def norm_range_union(a, n_samples: int, seed: int) -> NormRangeUnionReport:
     block.  A disc reaching past ||A||_F (1 + 1e-9) counts as a violation,
     read on the discs of A under ``linalg.pow2_scaled``'s rule, where none
     under- or overflows, so the count is the same for every power-of-two
-    multiple of A; ``sup_abs`` is read from the discs scaled back.
+    multiple of A; ``sup_abs`` is the largest reach of those discs, scaled
+    back once, as ``frobenius_radius`` is.
     """
     require_ints(1, n_samples=n_samples)
     require_ints(0, seed=seed)
@@ -254,15 +255,12 @@ def norm_range_union(a, n_samples: int, seed: int) -> NormRangeUnionReport:
         centre, radius = _norm_discs(unit, b)
         reach = np.abs(centre) + radius
         violations += int(np.count_nonzero(reach > frob + 1e-9 * frob))
-        if e:
-            # the reach of the discs as norm_range_disc returns them
-            reach = np.abs(times_pow2(centre, e)) + times_pow2(radius, e)
         sup_abs = max(sup_abs, float(reach.max(initial=0.0)))
         n_discs += len(b)
     return NormRangeUnionReport(
         n_samples=n_samples,
         n_discs=n_discs,
-        sup_abs=sup_abs,
+        sup_abs=float(times_pow2(sup_abs, e)),
         containment_violations=violations,
         frobenius_radius=float(times_pow2(frob, e)),
         seed=seed,
@@ -280,22 +278,24 @@ def center_bound_check(a, b) -> CenterBound:
     Hypothesis: the 2-norm of b's singular values (its Frobenius norm) is at
     least sqrt(rank b).  When it holds, the centre magnitude
     |<a, b>| / ||b||_F**2 cannot exceed the spectral norm of a; the flag
-    allows it a relative 1e-9, read on a under ``linalg.pow2_scaled``'s
-    rule, so it is the same for every power-of-two multiple of a.  Both
+    allows it a relative 1e-9.  a and b are read under
+    ``linalg.pow2_scaled``'s rule, so no norm, square or product under- or
+    overflows, and each scale is applied once to the value it compares.  Both
     flags are reported; the bound is only asserted elsewhere when the
     hypothesis held.
     """
     am, bm = as_matrix(a), as_matrix(b)
     if am.shape != bm.shape:
         raise ValueError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    sig_b = svd(bm).sigma
+    unit_b, eb = pow2_scaled(bm)
+    sig_b = svd(unit_b).sigma
     if sig_b[0] == 0.0:
         raise ValueError("b must be nonzero")
     rank = int(np.sum(sig_b > 1e-10 * sig_b[0]))
     frob_b = float(np.linalg.norm(sig_b))
-    hypothesis = frob_b >= np.sqrt(rank)
+    hypothesis = times_pow2(frob_b, eb) >= np.sqrt(rank)
     unit = pow2_scaled(am)[0]
-    centre = abs(frobenius_inner(unit, bm)) / frob_b**2
+    centre = times_pow2(abs(frobenius_inner(unit, unit_b)) / frob_b**2, -eb)
     top = sigma_max(unit)
     bound = centre <= top + 1e-9 * top
     return CenterBound(bool(hypothesis), bool(bound))

@@ -23,7 +23,9 @@ from nrange.geometry import (
     region_support_curve,
 )
 from nrange.io import (
+    _ANGLES_SLOT,
     MatrixParseError,
+    _angles_text,
     _matrix_from_json,
     load_matrix,
     load_region,
@@ -344,3 +346,135 @@ def test_boundary_bytes_match_per_element_encoding(tmp_path, rng):
                       (loaded.curve.points.imag, points.imag)]:
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _boundary(angles, radius=2.0):
+    return ConvexBoundary(region_support_curve(Disc(0.5 - 0.25j, radius), angles))
+
+
+def _written(tmp_path, region, meta):
+    path = tmp_path / "r.json"
+    save_region(path, region, meta)
+    return path.read_text()
+
+
+class TestAngleGridReuse:
+    """save_region splices a cached text of the angles into the file; the bytes stay
+    json.dumps(region_to_payload(region, meta), allow_nan=False)."""
+
+    def test_alternating_grids_hit_miss_and_overflow_the_cache(self, tmp_path):
+        _angles_text.cache_clear()
+        grids = [default_angles(n) for n in (8, 9, 720, 721)]
+        # more grids than the cache holds, so entries are evicted and made again
+        grids += [default_angles(n) for n in range(10, 10 + _angles_text.cache_info().maxsize)]
+        meta = {"set": "fov", "sigma": [2.0, 1.0 / 3.0], "tool_version": "0.1.0"}
+        for round_ in range(3):
+            for j, angles in enumerate(grids):
+                region = _boundary(angles, 1.0 + round_ + j / 7)
+                text = _written(tmp_path, region, meta)
+                assert text == json.dumps(region_to_payload(region, meta), allow_nan=False)
+        info = _angles_text.cache_info()
+        assert info.misses > info.maxsize
+        # back to back, the same grid is a hit
+        for _ in range(2):
+            region = _boundary(default_angles(720))
+            assert _written(tmp_path, region, meta) == json.dumps(region_to_payload(region, meta))
+        assert _angles_text.cache_info().hits > info.hits
+
+    def test_grid_that_is_not_the_default(self, tmp_path, rng):
+        angles = np.sort(rng.uniform(0.01, 6.0, 50))
+        angles[0] = -0.0
+        for grid in (angles, angles + 1e-3, angles * np.pi):
+            region = _boundary(grid)
+            text = _written(tmp_path, region, {"set": "wl"})
+            assert text == json.dumps(region_to_payload(region, {"set": "wl"}))
+        # the key is the grid's bytes: -0.0 and 0.0 are two grids
+        zero = angles.copy()
+        zero[0] = 0.0
+        texts = [_written(tmp_path, _boundary(grid), {}) for grid in (angles, zero, angles)]
+        assert texts[0].startswith('{"kind": "boundary", "angles": [-0.0, ')
+        assert texts[1].startswith('{"kind": "boundary", "angles": [0.0, ')
+        assert texts[2] == texts[0]
+
+    def test_meta_holding_the_slot_text(self, tmp_path):
+        region = _boundary(default_angles(9))
+        meta = {"set": _ANGLES_SLOT, _ANGLES_SLOT: [json.dumps(_ANGLES_SLOT)],
+                "note": "angles " + json.dumps(_ANGLES_SLOT)}
+        text = _written(tmp_path, region, meta)
+        assert text == json.dumps(region_to_payload(region, meta), allow_nan=False)
+        assert load_region(tmp_path / "r.json")[1] == meta
+
+    @pytest.mark.parametrize("region", REGIONS[:-1], ids=lambda r: type(r).__name__)
+    def test_other_kinds(self, tmp_path, region):
+        meta = {"set": "w", "sigma": [2.0, 0.1]}
+        assert _written(tmp_path, region, meta) == json.dumps(region_to_payload(region, meta))
+
+    @pytest.mark.parametrize("angles, meta", [
+        (default_angles(720), {"set": "fov", "sigma": [np.inf, 1.0]}),
+        (default_angles(8), {"set": "fov", "sigma": [1.0, np.nan]}),
+        (np.array([0.0, 1.0, np.inf]), {"set": "fov"}),
+    ], ids=["meta-inf", "meta-nan", "angles-inf"])
+    def test_non_finite_boundary_writes_no_file(self, tmp_path, angles, meta):
+        ones = np.ones(len(angles))
+        region = ConvexBoundary(BoundaryCurve(angles, ones, ones + 0j))
+        path = tmp_path / "r.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_region(path, region, meta)
+        assert not path.exists()
+
+
+def _boundary_payload():
+    return json.loads(json.dumps(region_to_payload(_boundary(default_angles(8)), {"set": "fov"})))
+
+
+class TestMalformedRegionPayloads:
+    @pytest.mark.parametrize("payload", [[1, 2], "disc", None, 3.5])
+    def test_payload_that_is_not_an_object(self, payload):
+        # a list raised AttributeError: 'list' object has no attribute 'get'
+        with pytest.raises(ValueError, match="a region payload is a JSON object"):
+            region_from_payload(payload)
+
+    @pytest.mark.parametrize("key", ["angles", "support", "points"])
+    def test_boundary_without_a_key(self, key):
+        # a boundary with no points raised KeyError: 'points'
+        payload = _boundary_payload()
+        del payload[key]
+        with pytest.raises(ValueError, match=f"boundary region has no '{key}'"):
+            region_from_payload(payload)
+
+    @pytest.mark.parametrize("region", REGIONS[1:-1], ids=lambda r: type(r).__name__)
+    def test_kind_without_a_key(self, region):
+        # a disc with no radius raised KeyError: 'radius'
+        payload = region_to_payload(region, {})
+        for key in [key for key in payload if key not in ("kind", "meta")]:
+            short = dict(payload)
+            del short[key]
+            with pytest.raises(ValueError, match=f"{payload['kind']} region has no '{key}'"):
+                region_from_payload(short)
+
+    @pytest.mark.parametrize("entry", [[1.0], [1.0, 2.0, 3.0], 5, None, "ab", [1.0, [2.0]],
+                                       {"re": 1.0, "im": 2.0}])
+    def test_boundary_point_that_is_not_a_pair(self, entry):
+        # a one-element point raised "not enough values to unpack"
+        payload = _boundary_payload()
+        payload["points"][3] = entry
+        with pytest.raises(ValueError, match=r"boundary point 3 must be an \[re, im\] pair"):
+            region_from_payload(payload)
+
+    @pytest.mark.parametrize("points", [5, None, {"a": [1, 2]}, []])
+    def test_boundary_points_that_are_not_a_list_of_pairs(self, points):
+        payload = _boundary_payload()
+        payload["points"] = points
+        with pytest.raises(ValueError, match="boundary points must be a list"):
+            region_from_payload(payload)
+
+    @pytest.mark.parametrize("key, value, shape", [
+        ("center", [1.0], "pair"), ("center", 5.0, "pair"), ("center", [1.0, 2.0, 3.0], "pair"),
+        ("center", [1.0, None], "pair"), ("radius", [1.0], "number"), ("radius", None, "number"),
+        ("radius", "wide", "number"),
+    ])
+    def test_disc_entry_of_the_wrong_shape(self, key, value, shape):
+        payload = region_to_payload(Disc(0.1 + 0.2j, 1.75), {})
+        payload[key] = value
+        with pytest.raises(ValueError, match=f"disc region's '{key}' must be an? .*{shape}"):
+            region_from_payload(payload)

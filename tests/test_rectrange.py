@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -428,6 +429,18 @@ class TestNormRange:
             assert report.frobenius_radius == pytest.approx(scale * ref.frobenius_radius, rel=1e-14)
             assert report.sup_abs == pytest.approx(scale * ref.sup_abs, rel=1e-14)
 
+    def test_sup_abs_within_the_frobenius_radius_at_subnormal_scale(self):
+        # read from discs scaled back into the subnormal range, sup_abs was
+        # 1.026 times frobenius_radius here
+        draws = np.random.default_rng(0)
+        a = draws.standard_normal((2, 3)) + 1j * draws.standard_normal((2, 3))
+        # the power of two that puts the largest part in [2**-1070, 2**-1069)
+        power = -1069 - np.frexp(max(np.abs(a.real).max(), np.abs(a.imag).max()))[1]
+        a = np.ldexp(a.real, power) + 1j * np.ldexp(a.imag, power)
+        report = norm_range_union(a, 50, 1)
+        assert report.frobenius_radius > 0.0
+        assert report.sup_abs <= report.frobenius_radius
+
     def test_union_containment_across_random_matrices(self, rng):
         for trial in range(20):
             a = rand_complex(rng, 2 + trial % 3, 2 + (trial // 2) % 3)
@@ -551,6 +564,31 @@ class TestCenterBound:
     def test_rejects_zero_comparison(self):
         with pytest.raises(ValueError, match="nonzero"):
             center_bound_check(WIDE_EXAMPLE, np.zeros((2, 3)))
+
+    def test_flags_at_extreme_scales_of_b(self):
+        # ||B||_F**2 underflowed to 0 at 2**-600 (ZeroDivisionError), and the
+        # singular values' norm overflowed at 2**600 (RuntimeWarning)
+        draws = np.random.default_rng(0)
+        a, b = rand_complex(draws, 3, 3), 100 * rand_complex(draws, 3, 3)
+        flags = center_bound_check(a, b)
+        assert flags == (True, True)
+        rank = np.linalg.matrix_rank(b)
+        centre = abs(np.vdot(b, a)) / np.linalg.norm(b) ** 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert center_bound_check(a, 2.0**600 * b) == flags
+            # the true ||B||_F is 2**-600 of B's and the centre 2**600 times B's
+            small = center_bound_check(a, 2.0**-600 * b)
+            assert small.hypothesis_held == (np.ldexp(np.linalg.norm(b), -600) >= np.sqrt(rank))
+            assert small.bound_holds == (np.ldexp(centre, 600) <= 1.000000001 * sigma_max(a))
+            assert small == (False, False)
+            # subnormal comparisons, the last with only a few nonzero parts
+            for power in (-1060, -1070, -1080):
+                tiny = np.ldexp(b.real, power) + 1j * np.ldexp(b.imag, power)
+                assert np.count_nonzero(tiny) > 0
+                assert center_bound_check(a, tiny) == (False, False)
+        with pytest.raises(ValueError, match="b must be nonzero"):
+            center_bound_check(a, np.ldexp(b.real, -1200) + 0j)
 
 
 class TestRankOneValue:
