@@ -11,8 +11,11 @@ keys of its fields in field order; a field annotated ``complex`` is written
 as an ``[re, im]`` pair and every other field as a float.  Only ``boundary``
 (a sampled ``ConvexBoundary``) has its own layout: ``angles`` and ``support``
 lists and a list of ``[re, im]`` points.  A boundary's ``angles`` text is
-encoded once per grid and reused, keyed on the grid's exact bytes, so a
-sweep's files format a quarter fewer floats and keep every byte.
+cached per grid, keyed on the grid's exact bytes, and every byte of the file
+stays the same.  The cache lives in one process: a caller that writes several
+files on one grid (a sweep over many matrices) formats a quarter fewer floats
+from the second file on, while a process that writes one file, such as
+``nrange compute``, always misses and saves nothing.
 """
 
 from __future__ import annotations
@@ -276,7 +279,8 @@ def save_region(path, region: Region, meta: dict) -> None:
     """Write a region file; ValueError, and no file, when a float is not finite.
 
     The text is ``json.dumps(region_to_payload(region, meta), allow_nan=False)``
-    byte for byte; a boundary's angles are spliced in from ``_angles_text``.
+    byte for byte; a boundary's angles are spliced in from ``_angles_text``,
+    which saves work only for a grid this process has written before.
     """
     payload = region_to_payload(region, meta)
     if isinstance(region, ConvexBoundary):
