@@ -66,7 +66,7 @@ class BoundaryCurve:
         points = np.asarray(self.points, dtype=complex)
         if not (angles.shape == support.shape == points.shape) or angles.ndim != 1:
             raise ValueError("angles, support and points must be aligned 1-d arrays")
-        if len(angles) < 2 or np.any(np.diff(angles) <= 0):
+        if len(angles) < 2 or not np.all(np.diff(angles) > 0):
             raise ValueError("angles must be strictly ascending")
         if not (np.isfinite(support).all() and np.isfinite(points).all()):
             raise ValueError("the curve is not finite at this scale; scale the matrix down")

@@ -154,6 +154,12 @@ def compression_radius(a, left, right) -> float:
     return sigma_max(lf.conj().T @ arr @ rf)
 
 
+def _sum_squares(x: np.ndarray) -> np.ndarray:
+    """||x_i||_F**2 of an (R, m, n) complex stack, one sum of squares over its float parts."""
+    parts = np.ascontiguousarray(x).view(float)
+    return np.einsum("ijk,ijk->i", parts, parts)
+
+
 def _norm_discs(a: np.ndarray, b: np.ndarray, eb: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Centres and radii of the norm-range discs of a against 2**eb b, b of shape (R, m, n).
 
@@ -161,16 +167,19 @@ def _norm_discs(a: np.ndarray, b: np.ndarray, eb: int = 0) -> tuple[np.ndarray, 
     A comparison within 1e-12 of unit norm counts as exactly unit, so
     rounding a normalized b cannot flip the result between a point and a
     rejection.  a enters under ``linalg.pow2_scaled``'s rule and the discs
-    are scaled back, which is exact; the slack reads the true norms.
+    are scaled back, which is exact; the slack reads the true norms.  Norms
+    are sums of squares of float parts, centres conj(b . conj(a)), and the
+    residuals fill one buffer; the union and ``norm_range_disc`` both call it.
     """
     a, ea = pow2_scaled(a)
-    nb = np.linalg.norm(b, axis=(1, 2))
+    nb2 = _sum_squares(b)
     # one product per comparison: a disc's bits do not depend on the stack
-    centre = (b.reshape(len(b), 1, -1).conj() @ a.reshape(-1, 1))[:, 0, 0] / nb**2
-    true_nb = times_pow2(nb, eb)
-    slack = np.where(np.abs(true_nb - 1.0) <= 1e-12, 0.0, 1.0 - times_pow2(1.0 / nb**2, -2 * eb))
-    residual = np.linalg.norm(a - centre[:, None, None] * b, axis=(1, 2))
-    radius = residual * np.sqrt(np.maximum(slack, 0.0))
+    centre = (b.reshape(len(b), 1, -1) @ a.conj().reshape(-1, 1))[:, 0, 0].conj() / nb2
+    true_nb = times_pow2(np.sqrt(nb2), eb)
+    slack = np.where(np.abs(true_nb - 1.0) <= 1e-12, 0.0, 1.0 - times_pow2(1.0 / nb2, -2 * eb))
+    residual = b * centre[:, None, None]
+    np.subtract(a, residual, out=residual)
+    radius = np.sqrt(_sum_squares(residual)) * np.sqrt(np.maximum(slack, 0.0))
     # the true values may lie past the float range
     return times_pow2(centre, ea - eb), times_pow2(radius, ea)
 
@@ -206,15 +215,19 @@ def _comparisons(unit: np.ndarray, re: np.ndarray, im: np.ndarray, scale: np.nda
                  frob: float):
     """The union's comparisons, a block of at most ``_CHUNK_BYTES`` at a time.
 
-    Block by block, G = re + i im is normalized and scaled, a zero G dropped;
-    the 32 rotated copies of the nonzero ``unit``, of norm ``frob``, come last.
+    Block by block, re and im are written into one complex G, scaled in place
+    by scale / ||G||_F and copied only to drop a zero G; the 32 rotated copies
+    of the nonzero ``unit``, of norm ``frob``, come last.
     """
     step = max(1, _CHUNK_BYTES // (16 * unit.size))
     for lo in range(0, len(scale), step):
-        g = re[lo:lo + step] + 1j * im[lo:lo + step]
-        ng = np.linalg.norm(g, axis=(1, 2))
-        keep = ng != 0.0
-        yield g[keep] / ng[keep, None, None] * scale[lo:lo + step][keep, None, None]
+        s, g = scale[lo:lo + step], np.empty((min(step, len(scale) - lo), *unit.shape), complex)
+        g.real, g.imag = re[lo:lo + step], im[lo:lo + step]
+        ng = np.sqrt(_sum_squares(g))
+        if not ng.all():
+            g, ng, s = g[ng != 0.0], ng[ng != 0.0], s[ng != 0.0]
+        np.multiply(g.view(float), (s / ng)[:, None, None], out=g.view(float))
+        yield g
     if frob > 0.0:
         phases = np.exp(-1j * default_angles(32)) / frob
         yield phases[:, None, None] * unit
@@ -229,14 +242,14 @@ def norm_range_union(a, n_samples: int, seed: int) -> NormRangeUnionReport:
     The draws are three calls on one generator: the real parts of all G,
     then their imaginary parts, then all the scales; a seed therefore samples
     other comparisons than versions that drew G and s one sample at a time.
-    Only the draws grow as n_samples * m * n: the comparisons and their discs
-    are formed a block of at most ``_CHUNK_BYTES`` at a time, one
-    ``_norm_discs`` call per block, and a disc's bits do not depend on its
-    block.  A disc reaching past ||A||_F (1 + 1e-9) counts as a violation,
-    read on the discs of A under ``linalg.pow2_scaled``'s rule, where none
-    under- or overflows, so the count is the same for every power-of-two
-    multiple of A; ``sup_abs`` is the largest reach of those discs, scaled
-    back once, as ``frobenius_radius`` is.
+    Only the draws grow as n_samples * m * n: each block of at most
+    ``_CHUNK_BYTES`` of comparisons is built and scaled in place, and one
+    ``_norm_discs`` call, ``norm_range_disc``'s kernel, gives its discs, bit
+    for bit whatever the block or the caller.  A reach past ||A||_F (1 + 1e-9)
+    is a violation, read on the discs of A under ``linalg.pow2_scaled``'s
+    rule, where none under- or overflows, so the count is the same for every
+    power-of-two multiple of A; ``sup_abs`` is the largest reach of those
+    discs, scaled back once, as ``frobenius_radius`` is.
     """
     require_ints(1, n_samples=n_samples)
     require_ints(0, seed=seed)

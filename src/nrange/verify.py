@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fov, geometry, oracles, projrange, rankk, rectrange
 from .geometry import default_angles, region_contains, region_support_curve, support_gap
-from .linalg import random_isometry, require_ints, svd
+from .linalg import pow2_shift, random_isometry, require_ints, svd, times_pow2
 from .reference import TALL_EXAMPLE, TALL_EXAMPLE_FRAME, WIDE_EXAMPLE
 
 __all__ = ["CheckResult", "SUITE_NAMES", "require_tol", "run_suite", "run_suites"]
@@ -468,19 +468,21 @@ def _separates(a, k: int, z, frame) -> bool:
     Both bounds of ``rankk.separating_frame``, each as a Cholesky
     factorization that exists only for a positive definite matrix: an
     isometry with at least n - k + 1 columns and ||a F|| < |z|, or one with
-    at least m + n - 2k + 1 columns and sigma_min(a F) > |z|.
+    at least m + n - 2k + 1 columns and sigma_min(a F) > |z|.  a and z share one
+    ``linalg.pow2_shift``, so no square under- or overflows; a non-finite factor proves nothing.
     """
     m, n = a.shape
     d = frame.shape[1]
     if frame.shape[0] != n or np.linalg.norm(frame.conj().T @ frame - np.eye(d)) > 1e-12:
         return False
-    image = a @ frame
-    gram, shift = image.conj().T @ image, abs(z) ** 2 * np.eye(d)
+    e = pow2_shift(max(np.abs(a.real).max(), np.abs(a.imag).max(), abs(z.real), abs(z.imag)))
+    image = times_pow2(a, -e) @ frame
+    gram, shift = image.conj().T @ image, abs(times_pow2(z, -e)) ** 2 * np.eye(d)
     for dim, form in ((n - k + 1, shift - gram), (m + n - 2 * k + 1, gram - shift)):
         if d >= dim:
             try:
-                np.linalg.cholesky(form)
-                return True
+                if np.isfinite(np.linalg.cholesky(form)).all():
+                    return True
             except np.linalg.LinAlgError:
                 pass
     return False

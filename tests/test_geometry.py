@@ -140,6 +140,9 @@ class TestCurves:
     def test_requires_ascending_angles(self):
         with pytest.raises(ValueError, match="ascending"):
             BoundaryCurve(np.array([0.0, 0.0]), np.zeros(2), np.zeros(2, dtype=complex))
+        # NaN differences compare False to 0, so a NaN angle passed the test
+        with pytest.raises(ValueError, match="ascending"):
+            BoundaryCurve(np.array([0.0, np.nan, 1.0]), np.ones(3), np.ones(3, dtype=complex))
 
     @pytest.mark.parametrize("support, point", [(np.inf, 0j), (0.0, complex(0.0, np.nan))])
     def test_requires_finite_values(self, support, point):

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -365,6 +366,20 @@ class TestSeparatingFrame:
     def test_rejects_k_past_the_smaller_dimension(self, rng):
         with pytest.raises(ValueError, match="need 1 <= k"):
             separating_frame(rand_complex(rng, 3, 2), 3, 5.0)
+
+    @pytest.mark.parametrize("s", [2.0**-600, 1e-300, 1e-170, 1.0, 1e160, 1e200])
+    def test_separates_at_extreme_scales(self, s):
+        # |z|**2 and the Gram matrix underflowed to 0 below 1e-170, which
+        # rejected this valid proof; past 1e160 they overflowed, and the NaN
+        # Cholesky factor "proved" the member 0.5 sigma_2 outside
+        draws = np.random.default_rng(0)
+        a = draws.standard_normal((4, 3)) + 1j * draws.standard_normal((4, 3))
+        _, sig, vh = np.linalg.svd(a)
+        frame = vh[1:].conj().T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _separates(s * a, 2, 1.5 * sig[0] * s, frame)
+            assert not _separates(s * a, 2, 0.5 * sig[1] * s, frame)
 
 
 class TestProjectorIntersection:

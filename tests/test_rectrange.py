@@ -395,10 +395,11 @@ class TestNormRange:
 
     @pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (4, 1), (2, 3), (3, 3), (8, 7)])
     def test_disc_is_bit_identical_to_the_union_disc(self, rng, m, n):
-        # the comparisons in norm_range_union's documented draw order
-        a = rand_complex(rng, m, n)
-        frob = float(np.linalg.norm(a))
-        for seed in (0, 3, 11):
+        # the comparisons in norm_range_union's documented draw order, at A
+        # and, on and beside the kernel's scaled branch, at A 2**-300 and 2**300
+        a0 = rand_complex(rng, m, n)
+        for a, seed in [(p * a0, seed) for p in (1.0, 2.0**-300, 2.0**300) for seed in (0, 3, 11)]:
+            frob = float(np.linalg.norm(a))
             draws = np.random.default_rng(seed)
             shape = (200, m, n)
             g = draws.standard_normal(shape) + 1j * draws.standard_normal(shape)
@@ -415,7 +416,18 @@ class TestNormRange:
             reach = np.abs([c for c, _ in parts]) + [r for _, r in parts]
             report = norm_range_union(a, 200, seed)
             assert report.sup_abs == reach.max()
-            assert report.containment_violations == np.count_nonzero(reach > frob + 1e-9)
+            assert report.containment_violations == np.count_nonzero(reach > frob + 1e-9 * frob)
+
+    def test_union_scales_exactly_by_powers_of_two(self):
+        draws = np.random.default_rng(0)
+        a = draws.standard_normal((2, 3)) + 1j * draws.standard_normal((2, 3))
+        ref = norm_range_union(a, 200, 1)
+        for j in (-600, -1, 1, 600):
+            report = norm_range_union(np.ldexp(1.0, j) * a, 200, 1)
+            assert report.sup_abs == np.ldexp(ref.sup_abs, j)
+            assert report.frobenius_radius == np.ldexp(ref.frobenius_radius, j)
+            assert report.n_discs == ref.n_discs
+            assert report.containment_violations == ref.containment_violations
 
     def test_union_at_extreme_scales_of_a(self):
         # ||A||_F underflowed to 0 at 2**-900, dropping the rotated copies, and
