@@ -401,6 +401,13 @@ class ProjectorBoundReport:
     outer_within_sampled: bool
 
 
+def _spectral_norms(x: np.ndarray, e: int) -> np.ndarray:
+    """2**e times the 2-norm of each matrix of the stack x, from its smaller Gram matrix."""
+    xh = x.conj().swapaxes(1, 2)
+    gram = xh @ x if x.shape[2] <= x.shape[1] else x @ xh
+    return times_pow2(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0)), e)
+
+
 def projector_intersection_check(a, k: int, n_trials: int, seed: int) -> ProjectorBoundReport:
     """Projections onto random co-dimension-(k-1) subspaces never cut below sigma_k.
 
@@ -408,7 +415,13 @@ def projector_intersection_check(a, k: int, n_trials: int, seed: int) -> Project
     subspaces keep the projected spectral norm at or above sigma_k, and the
     deterministic frames built from the trailing singular vectors attain it
     exactly.  The n_trials right frames are one ``random_isometries`` stack
-    from seed ``(seed, 0)`` and the left frames one from ``(seed, 1)``.
+    from seed ``(seed, 0)`` and the left frames one from ``(seed, 1)``; the
+    star frames G, L close each stack.  Frames are isometries, so ||A G G*||
+    = ||A G|| and ||L L* A|| = ||L* A||: roots of the top ``eigvalsh`` values
+    of one stack of the smaller Gram matrices per side.  A enters scaled by a
+    power of two to parts in [0.5, 1), exact to undo; at ``pow2_scaled``'s
+    [2**399, 2**400) a Gram matrix would pass 2**485, past which LAPACK's
+    zheevd rescales it by a factor that is no power of two.
     """
     arr = as_matrix(a)
     m, n = arr.shape
@@ -418,19 +431,16 @@ def projector_intersection_check(a, k: int, n_trials: int, seed: int) -> Project
         raise ValueError(f"need 1 <= k <= min(m, n) = {min(m, n)}, got {k}")
     u_full, sig, vh_full = _decomposed(arr, True)
     sigma_k = float(sig[k - 1])
-    right_dim = n - k + 1
-    left_dim = m - k + 1
-    right = random_isometries(n, right_dim, n_trials, (seed, 0))
-    left = random_isometries(m, left_dim, n_trials, (seed, 1))
-    # the largest singular value of each projected matrix is its 2-norm
-    min_right = float(np.linalg.svd(arr @ (right @ right.conj().swapaxes(1, 2)),
-                                    compute_uv=False)[:, 0].min())
-    min_left = float(np.linalg.svd((left @ left.conj().swapaxes(1, 2)) @ arr,
-                                   compute_uv=False)[:, 0].min())
-    g_star = vh_full.conj().T[:, k - 1:]
-    right_star = float(np.linalg.norm(arr @ (g_star @ g_star.conj().T), 2))
-    l_star = u_full[:, k - 1:]
-    left_star = float(np.linalg.norm((l_star @ l_star.conj().T) @ arr, 2))
+    e = math.frexp(max(np.abs(arr.real).max(), np.abs(arr.imag).max()))[1]
+    unit = times_pow2(arr, -e)
+    right = np.concatenate([random_isometries(n, n - k + 1, n_trials, (seed, 0)),
+                            vh_full[None, k - 1:].conj().swapaxes(1, 2)])
+    left = np.concatenate([random_isometries(m, m - k + 1, n_trials, (seed, 1)),
+                           u_full[None, :, k - 1:]])
+    right_norms = _spectral_norms(unit @ right, e)
+    left_norms = _spectral_norms(left.conj().swapaxes(1, 2) @ unit, e)
+    min_right, right_star = float(right_norms[:-1].min()), float(right_norms[-1])
+    min_left, left_star = float(left_norms[:-1].min()), float(left_norms[-1])
     outer = sigma_k  # outer radius of the closed-form region
     return ProjectorBoundReport(
         k=k,

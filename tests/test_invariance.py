@@ -17,7 +17,8 @@ from nrange.fov import fov_boundary
 from nrange.geometry import ConvexBoundary, scale_region
 from nrange.linalg import svd, times_pow2
 from nrange.projrange import ProjectorSetting, higher_range, lower_range, vector_ellipse
-from nrange.rankk import find_witness, rank_k_region, separating_frame
+from nrange.rankk import (find_witness, projector_intersection_check, rank_k_region,
+                          separating_frame)
 from nrange.rectrange import norm_range_disc, range_disc
 
 EXPONENTS = [-1000, -600, -401, 0, 401, 600, 1000]
@@ -77,6 +78,20 @@ def test_closed_forms_scale_exactly(pair, seed):
             assert np.array_equal(scaled_wit.right, wit.right)
             frame, scaled_frame = separating_frame(a, k, z), separating_frame(big, k, big_z)
             assert (frame is None and scaled_frame is None) or np.array_equal(scaled_frame, frame)
+
+
+@settings(max_examples=100)
+@given(scaled_pairs())
+def test_projector_check_values_scale_exactly(pair):
+    # the flags compare against an absolute 1e-9 slack, so only the values scale
+    a, j = pair
+    big = times_pow2(a, j)
+    for k in range(1, min(a.shape) + 1):
+        report = projector_intersection_check(a, k, 10, 3)
+        scaled = projector_intersection_check(big, k, 10, 3)
+        for field in ("sigma_k", "min_right_sampled", "min_left_sampled", "right_star_value",
+                      "left_star_value"):
+            assert getattr(scaled, field) == float(times_pow2(getattr(report, field), j)), (field, k)
 
 
 def test_scale_region_of_a_curve_is_the_scaled_curve():

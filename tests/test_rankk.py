@@ -408,20 +408,23 @@ class TestProjectorIntersection:
 
     @staticmethod
     def per_trial_reference(a, k, n_trials, seed):
-        """The check as one 2-norm per trial, on frames sliced from the two stacks."""
+        """The check as one thin product, Gram matrix and eigvalsh per frame,
+        on A scaled to parts in [0.5, 1) and frames sliced from the two stacks."""
         m, n = a.shape
         u_full, sig, vh_full = np.linalg.svd(a, full_matrices=True)
         sigma_k = float(sig[k - 1])
-        rights = random_isometries(n, n - k + 1, n_trials, (seed, 0))
-        lefts = random_isometries(m, m - k + 1, n_trials, (seed, 1))
-        min_right = min_left = np.inf
-        for g, l in zip(rights, lefts):
-            min_right = min(min_right, float(np.linalg.norm(a @ (g @ g.conj().T), 2)))
-            min_left = min(min_left, float(np.linalg.norm((l @ l.conj().T) @ a, 2)))
-        g_star = vh_full.conj().T[:, k - 1:]
-        right_star = float(np.linalg.norm(a @ (g_star @ g_star.conj().T), 2))
-        l_star = u_full[:, k - 1:]
-        left_star = float(np.linalg.norm((l_star @ l_star.conj().T) @ a, 2))
+        e = math.frexp(max(np.abs(a.real).max(), np.abs(a.imag).max()))[1]
+        unit = times_pow2(a, -e)
+
+        def norm(p):
+            gram = p.conj().T @ p if p.shape[1] <= p.shape[0] else p @ p.conj().T
+            return float(times_pow2(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)), e))
+
+        rights = list(random_isometries(n, n - k + 1, n_trials, (seed, 0)))
+        lefts = list(random_isometries(m, m - k + 1, n_trials, (seed, 1)))
+        *right, right_star = [norm(unit @ g) for g in rights + [vh_full.conj().T[:, k - 1:]]]
+        *left, left_star = [norm(l.conj().T @ unit) for l in lefts + [u_full[:, k - 1:]]]
+        min_right, min_left = min(right), min(left)
         return ProjectorBoundReport(
             k=k,
             n_trials=n_trials,
@@ -444,8 +447,29 @@ class TestProjectorIntersection:
                 expected = self.per_trial_reference(a, k, 23, seed)
                 assert projector_intersection_check(a, k, 23, seed) == expected
 
+    @pytest.mark.parametrize("m, n", [(1, 4), (4, 1), (2, 3), (5, 4), (7, 8)])
+    def test_values_match_the_projected_matrices(self, rng, m, n):
+        # the thin products' Gram eigenvalues against the definition: the
+        # 2-norm of A G G* and of L L* A
+        a = rand_complex(rng, m, n)
+        u_full, sig, vh_full = np.linalg.svd(a, full_matrices=True)
+        for k in range(1, min(m, n) + 1):
+            for seed in (0, 7):
+                report = projector_intersection_check(a, k, 23, seed)
+                rights = random_isometries(n, n - k + 1, 23, (seed, 0))
+                lefts = random_isometries(m, m - k + 1, 23, (seed, 1))
+                g_star, l_star = vh_full.conj().T[:, k - 1:], u_full[:, k - 1:]
+                expected = {
+                    "min_right_sampled": min(np.linalg.norm(a @ (g @ g.conj().T), 2) for g in rights),
+                    "min_left_sampled": min(np.linalg.norm((l @ l.conj().T) @ a, 2) for l in lefts),
+                    "right_star_value": np.linalg.norm(a @ (g_star @ g_star.conj().T), 2),
+                    "left_star_value": np.linalg.norm((l_star @ l_star.conj().T) @ a, 2),
+                }
+                for field, value in expected.items():
+                    assert abs(getattr(report, field) - value) <= 1e-14 * sig[0], (field, k, seed)
+
     def test_stacked_kernel_calls(self, rng, monkeypatch):
-        calls = {"qr": 0, "svd": 0}
+        calls = {"qr": 0, "svd": 0, "eigvalsh": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -453,12 +477,14 @@ class TestProjectorIntersection:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(np.linalg, "qr", counting("qr", np.linalg.qr))
-        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         report = projector_intersection_check(rand_complex(rng, 5, 4), 2, 100, seed=3)
         assert report.n_trials == 100
         assert calls["qr"] <= 2
-        assert calls["svd"] <= 6
+        # one SVD of A, unless its slot holds it; one Gram stack per side
+        assert calls["svd"] <= 1
+        assert calls["eigvalsh"] <= 2
 
     def test_one_generator_per_frame_stack(self, rng, generator_seeds):
         # the right and left frames are one stack each; one generator per

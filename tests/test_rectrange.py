@@ -8,6 +8,7 @@ from conftest import rand_complex, rand_unit
 from nrange.geometry import Circle, Disc, Point, default_angles, normalize_region
 from nrange.linalg import random_isometry, sigma_max, svd
 from nrange.oracles import mc_rect_sup
+from nrange import rectrange
 from nrange.rankk import find_witness, rank_k_region
 from nrange.rectrange import (
     _CHUNK_BYTES,
@@ -461,32 +462,54 @@ class TestNormRange:
 
 
 def _one_stack_union(a, n_samples, seed):
-    """The union's report fields, every comparison in one stack and one ``_norm_discs`` call."""
+    """The union's report fields, and the centres and radii of all its
+    discs, from every comparison in one stack and one ``_norm_discs`` call.
+
+    The random comparisons are built as ``_comparisons`` builds a block:
+    squared norms as sums of squares over the float view, then one in-place
+    multiply by s / ||G||_F.
+    """
     draws = np.random.default_rng(seed)
     shape = (n_samples, *a.shape)
-    g = draws.standard_normal(shape) + 1j * draws.standard_normal(shape)
+    g = np.empty(shape, complex)
+    g.real, g.imag = draws.standard_normal(shape), draws.standard_normal(shape)
     scale = draws.uniform(1.0, 3.0, n_samples)
-    ng = np.linalg.norm(g, axis=(1, 2))
+    parts = g.view(float)
+    ng = np.sqrt(np.einsum("ijk,ijk->i", parts, parts))
     keep = ng != 0.0
+    g, ng, scale = g[keep], ng[keep], scale[keep]
+    np.multiply(g.view(float), (scale / ng)[:, None, None], out=g.view(float))
     frob = float(np.linalg.norm(a))
-    b = g[keep] / ng[keep, None, None] * scale[keep, None, None]
     phases = np.exp(-1j * default_angles(32)) / frob
-    b = np.concatenate([b, phases[:, None, None] * a])
+    b = np.concatenate([g, phases[:, None, None] * a])
     centre, radius = _norm_discs(a, b)
     reach = np.abs(centre) + radius
-    return len(b), float(reach.max()), int(np.count_nonzero(reach > frob + 1e-9 * frob)), frob
+    fields = len(b), float(reach.max()), int(np.count_nonzero(reach > frob + 1e-9 * frob)), frob
+    return fields, centre, radius
 
 
 class TestBlockedUnion:
     @pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (8, 7)])
-    def test_blocks_match_one_stack_bit_for_bit(self, rng, m, n):
+    def test_blocks_match_one_stack_bit_for_bit(self, rng, monkeypatch, m, n):
+        discs = []
+
+        def recording(*args):
+            discs.append(_norm_discs(*args))
+            return discs[-1]
+
+        monkeypatch.setattr(rectrange, "_norm_discs", recording)
         a = rand_complex(rng, m, n)
         block = _CHUNK_BYTES // (16 * m * n)
         for n_samples in (1, block - 1, block, block + 1, 2000):
+            discs.clear()
             report = norm_range_union(a, n_samples, n_samples + 5)
             fields = (report.n_discs, report.sup_abs, report.containment_violations,
                       report.frobenius_radius)
-            assert fields == _one_stack_union(a, n_samples, n_samples + 5)
+            expected, centre, radius = _one_stack_union(a, n_samples, n_samples + 5)
+            assert fields == expected
+            # the random discs too, not only the rotated copies that set sup_abs
+            assert np.array_equal(np.concatenate([c for c, _ in discs]), centre)
+            assert np.array_equal(np.concatenate([r for _, r in discs]), radius)
 
     def test_zero_draws_are_dropped(self, rng, monkeypatch):
         real_rng = np.random.default_rng

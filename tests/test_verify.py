@@ -254,14 +254,30 @@ def test_prop14_grid_margins_are_wide(rng):
 # matrices, two thin SVDs of its own (drawing it, and its singular values)
 # and one full SVD shared by every region, verdict, witness and separating
 # frame, plus 180 SVDs of the images A N of witnesses in empty regions.
-# prop16: for each of its 28 (matrix, k) pairs, two SVDs of the projected
-# stacks, plus one full SVD of each of its 8 matrices at most twice as long
-# as wide and one per k of the 5 x 2 and 6 x 2 ones, which bypass the slot.
-# A count that grows means a route stopped sharing.
-SUITE_SVD_CALLS = {"prop14": 270, "prop16": 68}
+# prop16: one full SVD of each of its 8 matrices at most twice as long as
+# wide and one per k of the 5 x 2 and 6 x 2 ones, which bypass the slot; its
+# projected norms take no SVD.  A count that grows means a route stopped
+# sharing.
+SUITE_SVD_CALLS = {"prop14": 270, "prop16": 12}
+# prop16's projected norms: one eigvalsh of a Gram stack per side for each
+# of its 28 (matrix, k) pairs, the star frames' norms included.
+PROP16_EIGVALSH_CALLS = 56
 
 
 @pytest.mark.parametrize("name", sorted(SUITE_SVD_CALLS))
 def test_suites_make_recorded_svd_calls(svd_calls, name):
     assert failing_set(run_suite(name, seed=1)) == set()
     assert len(svd_calls) == SUITE_SVD_CALLS[name]
+
+
+def test_prop16_makes_recorded_eigvalsh_calls(monkeypatch):
+    calls = []
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return real_eigvalsh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    assert failing_set(run_suite("prop16", seed=1)) == set()
+    assert len(calls) == PROP16_EIGVALSH_CALLS
