@@ -15,13 +15,13 @@ checked from A and the frame alone, proves a value outside.
 
 Each matrix is decomposed once, under ``linalg.pow2_scaled``'s rule: every
 entry point here, and ``rectrange``'s rank-1 certificates, read the full SVD
-of A from a slot that keeps the last two this thread took (a wide A's
-request needs A and its adjoint), keyed on the exact shape and bytes of the
-matrix, its factors read-only.  A value off by one ulp is a new matrix.  A
-matrix more than twice as long as it is wide, or with more than 4096
-entries, bypasses the slot: its full factors would cost far more than the
-thin SVD its region needs, and nothing that size is kept after a call
-returns.
+of A from a slot that keeps the last two this thread took, keyed on the
+exact shape and bytes of the matrix, its factors read-only; a wide A's
+certificates swap A's own factors for its adjoint's (``_taller_side``).  A
+value off by one ulp is a new matrix.  A matrix more than twice as long as
+it is wide, or with more than 4096 entries, bypasses the slot: its full
+factors would cost far more than the thin SVD its region needs, and nothing
+that size is kept after a call returns.
 """
 
 from __future__ import annotations
@@ -81,7 +81,9 @@ def _decomposed(arr: np.ndarray, full: bool):
     is decomposed in full once while it stays among its thread's last two,
     keyed on its shape and bytes; its singular values equal the thin SVD's
     bit for bit.  Any other is decomposed on every call, with
-    ``full_matrices=full``, and kept nowhere.  Sigma past the float range is inf.
+    ``full_matrices=full``, and kept nowhere.  Sigma past the float range is
+    inf.  A request takes one entry, a wide one too; the second lets a
+    caller alternate two matrices, such as one and its adjoint.
     """
     m, n = arr.shape
     kept = max(m, n) <= 2 * min(m, n) and m * n <= 4096
@@ -98,6 +100,18 @@ def _decomposed(arr: np.ndarray, full: bool):
             part.flags.writeable = False
         _recent.entries = ((key, factors),) + entries[:1]
     return factors
+
+
+def _taller_side(arr: np.ndarray):
+    """The taller of arr and its adjoint, with that side's full SVD (u, sigma, v) from arr's.
+
+    A wide arr = U S V* has the adjoint V S U*, so its factors are arr's
+    swapped, u <- V and v <- U, and no second matrix is decomposed.
+    """
+    u, sig, vh = _decomposed(arr, True)
+    if arr.shape[0] < arr.shape[1]:
+        return arr.conj().T, vh.conj().T, sig, u
+    return arr, u, sig, vh.conj().T
 
 
 def rank_k_region(a, k: int) -> RankKRegion:
@@ -286,20 +300,23 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
                  max_iter: int = 500, tol: float = 1e-8) -> WitnessPair:
     """Isometry pair certifying z in the rank-k range, or the pair at its nearest point.
 
-    Works on the taller of A and its adjoint, with A and z scaled by
-    ``linalg.pow2_scaled``'s rule for sigma_1 and z after its one SVD.  N
-    and M with M* A N = z I come in closed form where they exist
-    (``_start_frames``), and every member certifies with them: a
+    Works on the taller of A and its adjoint (``_taller_side``: A's one SVD
+    serves both), with A and z scaled by ``linalg.pow2_scaled``'s rule for
+    sigma_1 and z.  N and M with M* A N = z I come in closed form where they
+    exist (``_start_frames``), and every member certifies with them: a
     residual ||M* A N - z I||_F, recomputed from A, M and N and scaled back,
     at most ``tol``.  Any other z moves along its ray (phase 1 at z = 0)
     onto the region's radial interval [sigma_j, sigma_k] of
     ``rank_k_region``, and the closed-form pair at that nearest point is
     returned: residual sqrt(k) times the distance from the region, to
-    rounding; ``separating_frame`` proves such a z outside.  Where the region is
-    empty, or M misses its isometry test, M comes from one SVD of the m x k
-    image A N: its polar factor steered by conj(z)/|z| (1 at z = 0), with
-    the directions of singular values past 2|z| traded for unused ones as
-    far as there are any.  ``seed``, ``restarts`` and ``max_iter`` are
+    rounding; ``separating_frame`` proves such a z outside.  One pair is
+    built per value: at z where the region is empty or |z| lies within
+    ``_start_frames``' relative 1e-10 band of that interval, and at the
+    nearest point elsewhere or where the pair at z does not certify.  Where
+    the region is empty, or M misses its isometry test, M comes from one SVD
+    of the m x k image A N: its polar factor steered by conj(z)/|z| (1 at
+    z = 0), with the directions of singular values past 2|z| traded for
+    unused ones as far as there are any.  ``seed``, ``restarts`` and ``max_iter`` are
     validated but have no effect, and ``restarts_used`` and ``iterations``
     are always 1.  A z that is not finite, or whose modulus exceeds the
     float range, raises ValueError before any decomposition.
@@ -314,23 +331,27 @@ def find_witness(a, k: int, z, seed: int = 0, restarts: int = 20,
     if not math.isfinite(math.hypot(z.real, z.imag)):
         raise ValueError("z must be finite, and so must its modulus")
     wide = m < n
+    # the closed form sees the taller side: the adjoint of a wide A, with conj(z)
+    arr, u, sig, v = _taller_side(arr)
     if wide:
-        # Work on the adjoint so the closed form sees the taller side.
-        arr, z, m, n = arr.conj().T, z.conjugate(), n, m
-    u, sig, vh = _decomposed(arr, True)
+        z, m, n = z.conjugate(), n, m
     e = pow2_shift(max(sig[0], abs(z.real), abs(z.imag)))
     arr, sig, z = times_pow2(arr, -e), times_pow2(sig, -e), complex(times_pow2(z, -e))
     # a sigma_1 past the float range is decomposed again, scaled
     if math.isinf(sig[0]):
         u, sig, vh = np.linalg.svd(arr, full_matrices=True)
-    v = vh.conj().T
-    right, left = _start_frames(sig, u, v, m, n, k, z)
-    res = float(times_pow2(_pair_residual(arr, left, right, z), e))
+        v = vh.conj().T
+    outer = float(sig[k - 1])
+    inner = float(sig[m + n - 2 * k]) if 2 * k > m else 0.0
+    r = math.hypot(z.real, z.imag)
+    phase = z / r if r else 1 + 0j
+    res = math.inf
+    # past the band _start_frames finds no M at z: a column's image falls
+    # below |z|, or more need a complement direction than there are
+    if inner > outer or (inner * (1.0 - 1e-10) <= r and r * (1.0 - 1e-10) <= outer):
+        right, left = _start_frames(sig, u, v, m, n, k, z)
+        res = float(times_pow2(_pair_residual(arr, left, right, z), e))
     if not res <= tol:
-        outer = float(sig[k - 1])
-        inner = float(sig[m + n - 2 * k]) if 2 * k > m else 0.0
-        r = math.hypot(z.real, z.imag)
-        phase = z / r if r else 1 + 0j
         if inner <= outer:
             right, left = _start_frames(sig, u, v, m, n, k, min(max(r, inner), outer) * phase)
             res = float(times_pow2(_pair_residual(arr, left, right, z), e))

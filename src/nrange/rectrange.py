@@ -20,7 +20,7 @@ import numpy as np
 from .geometry import Disc, Region, default_angles, normalize_region
 from .linalg import (as_matrix, frobenius, frobenius_inner, pow2_scaled, require_ints,
                      require_isometry, sigma_max, svd, times_pow2)
-from .rankk import _decomposed, _start_frames, rank_k_region
+from .rankk import _start_frames, _taller_side, rank_k_region
 
 __all__ = [
     "CenterBound",
@@ -94,16 +94,15 @@ def _rank_one_witness(a, z=None, theta: float = 0.0) -> WitnessVectors:
 
     That is ``find_witness(a, 1, z)``'s closed-form pair: ``rankk._start_frames``
     at k = 1 on the full SVD of the taller side (the adjoint of a wide a, with
-    conj(z)).  That SVD comes from ``rankk._decomposed``, as every rank-k
-    entry point's does, so a disc and its boundary witnesses decompose a tall
-    or square a once, and a wide one twice: a, then its adjoint.  ValueError
+    conj(z)).  That SVD is ``rankk._taller_side``'s, a's own from
+    ``rankk._decomposed`` as every rank-k entry point's, so a disc and its
+    boundary witnesses decompose any a once, a wide one included.  ValueError
     where it finds no pair: |z| past sigma_1 (1 + 1e-10), or a 1x1 matrix's z
     off its circle.
     """
     arr = as_matrix(a)
     wide = arr.shape[0] < arr.shape[1]
-    tall = arr.conj().T if wide else arr
-    u, sig, vh = _decomposed(tall, True)
+    tall, u, sig, v = _taller_side(arr)
     top = float(sig[0])
     if z is None:
         if top == 0.0:
@@ -114,7 +113,7 @@ def _rank_one_witness(a, z=None, theta: float = 0.0) -> WitnessVectors:
     r = math.hypot(z.real, z.imag)
     if not math.isfinite(r):
         raise ValueError("z must be finite, and so must its modulus")
-    frame, left = _start_frames(sig, u, vh.conj().T, *tall.shape, 1, z.conjugate() if wide else z)
+    frame, left = _start_frames(sig, u, v, *tall.shape, 1, z.conjugate() if wide else z)
     if left is None:
         if arr.shape == (1, 1):
             raise ValueError(f"|z| = {r:.6g} is off the 1x1 range, the circle |z| = {top:.6g}")
@@ -170,11 +169,15 @@ def _norm_discs(a: np.ndarray, b: np.ndarray, eb: int = 0) -> tuple[np.ndarray, 
     are scaled back, which is exact; the slack reads the true norms.  Norms
     are sums of squares of float parts, centres conj(b . conj(a)), and the
     residuals fill one buffer; the union and ``norm_range_disc`` both call it.
+    A one-entry a gets radius 0: a 1x1 b is parallel to it, so a - centre b
+    is 0 exactly, where rounding would leave noise.
     """
     a, ea = pow2_scaled(a)
     nb2 = _sum_squares(b)
     # one product per comparison: a disc's bits do not depend on the stack
     centre = (b.reshape(len(b), 1, -1) @ a.conj().reshape(-1, 1))[:, 0, 0].conj() / nb2
+    if a.size == 1:
+        return times_pow2(centre, ea - eb), np.zeros(len(b))
     true_nb = times_pow2(np.sqrt(nb2), eb)
     slack = np.where(np.abs(true_nb - 1.0) <= 1e-12, 0.0, 1.0 - times_pow2(1.0 / nb2, -2 * eb))
     residual = b * centre[:, None, None]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -13,7 +14,8 @@ from conftest import rand_complex
 from nrange.geometry import (
     Annulus, Circle, Disc, Empty, Point, Segment, radial_interval, region_contains,
 )
-from nrange.linalg import isometry_defect, random_isometries, random_isometry, svd, times_pow2
+from nrange.linalg import (isometry_defect, pow2_shift, random_isometries, random_isometry, svd,
+                           times_pow2)
 from nrange import rankk
 from nrange.verify import _separates
 from nrange.rectrange import boundary_witness, range_disc
@@ -28,6 +30,18 @@ from nrange.rankk import (
     rank_k_region,
     separating_frame,
 )
+
+
+def svd_factors(a):
+    """Full SVD of a as (u, sigma, v)."""
+    u, sig, vh = np.linalg.svd(a, full_matrices=True)
+    return u, sig, vh.conj().T
+
+
+def adjoint_factors(a):
+    """(u, sigma, v) of a's adjoint from a's own full SVD: a = U S V*, a* = V S U*."""
+    u, sig, v = svd_factors(a)
+    return v, sig, u
 
 
 def block_hermitian(a):
@@ -566,18 +580,30 @@ class TestStackedWitnessSearch:
         assert separating_frame(a, 2, 0j).shape == (3, 3)
 
     def test_wide_nonmember_runs_the_stack_on_the_adjoint(self, rng):
-        # a wide A works on its adjoint, whose pair is the same one swapped
+        # a wide A works on its adjoint with A's own factors swapped: the
+        # pair at the nearest point, sigma_2 at the phase of conj(z), swapped
         a = rand_complex(rng, 2, 5)
-        top = float(svd(a).sigma[0])
+        u, sig, v = adjoint_factors(a)
+        top = float(sig[0])
         z = 1.4 * top * np.exp(0.5j)
         wit = find_witness(a, 2, z, seed=6, restarts=6)
         assert wit.left.shape == (2, 2) and wit.right.shape == (5, 2)
         assert wit.restarts_used == 1
         assert wit.residual >= (abs(z) - top) * np.sqrt(2) - 1e-8
         assert_consistent_pair(a, 2, wit)
-        adj = find_witness(a.conj().T, 2, np.conj(z), seed=6, restarts=6)
-        assert adj.residual == wit.residual and adj.iterations == wit.iterations
-        assert np.array_equal(adj.left, wit.right) and np.array_equal(adj.right, wit.left)
+        zt = complex(z).conjugate()
+        right, left = _start_frames(sig, u, v, 5, 2, 2, float(sig[1]) * (zt / abs(zt)))
+        assert np.array_equal(wit.left, right) and np.array_equal(wit.right, left)
+        # the adjoint decomposed on its own has other singular vectors, up to
+        # a phase each, and singular values a few ulps away: the same
+        # compression and residual to rounding, within 64 eps sigma_1 (here
+        # 1 and 3.3 of them, at most 28 over 300 random wide matrices)
+        adj = find_witness(a.conj().T, 2, zt, seed=6, restarts=6)
+        bound = 64 * np.finfo(float).eps * top
+        assert adj.iterations == wit.iterations
+        assert abs(adj.residual - wit.residual) <= bound
+        assert np.linalg.norm(adj.right.conj().T @ a @ adj.left
+                              - wit.left.conj().T @ a @ wit.right) <= bound
 
     def test_rejects_nonpositive_max_iter(self, rng):
         with pytest.raises(ValueError, match="max_iter"):
@@ -771,8 +797,8 @@ class TestClosedFormCertificate:
             wide = a.shape[0] < a.shape[1]
             arr, zt = (a.conj().T, z.conjugate()) if wide else (a, z)
             m, n = arr.shape
-            u, sig, vh = np.linalg.svd(arr, full_matrices=True)
-            right, left = _start_frames(sig, u, vh.conj().T, m, n, k, zt)
+            u, sig, v = adjoint_factors(a) if wide else svd_factors(a)
+            right, left = _start_frames(sig, u, v, m, n, k, zt)
             assert left is not None
             assert isometry_defect(left) <= 1e-12 and isometry_defect(right) <= 1e-12
             assert np.linalg.norm(left.conj().T @ arr @ right - zt * np.eye(k)) <= 1e-12 * sig[0]
@@ -782,15 +808,15 @@ class TestClosedFormCertificate:
             assert np.array_equal(wit.left, pair[0]) and np.array_equal(wit.right, pair[1])
 
     def test_a_member_costs_one_svd(self, svd_calls):
-        # the first call on a matrix decomposes its taller side, in full, and
-        # every later call on the same bytes reads that from the slot
+        # the first call on a matrix decomposes it as given, in full, wide or
+        # not, and every later call on the same bytes reads that from the slot
         seen = set()
         for a, k, z in member_cases():
             svd_calls.clear()
             assert find_witness(a, k, z).residual <= 1e-8
             first = a.tobytes() not in seen
             seen.add(a.tobytes())
-            assert svd_calls == ([(tuple(sorted(a.shape, reverse=True)), True)] if first else [])
+            assert svd_calls == ([(a.shape, True)] if first else [])
         assert len(seen) == 3 * len(CERTIFICATE_SHAPES)
 
     @pytest.mark.parametrize("shape,k", [((1, 1), 1), ((2, 2), 2), ((3, 2), 2), ((3, 3), 3)])
@@ -825,7 +851,7 @@ class TestSharedDecomposition:
 
     @pytest.mark.parametrize("shape,calls", [((5, 3), [((5, 3), True)]),
                                              ((4, 4), [((4, 4), True)]),
-                                             ((3, 5), [((3, 5), True), ((5, 3), True)])])
+                                             ((3, 5), [((3, 5), True)])])
     def test_a_request_decomposes_each_side_once(self, forget_svds, svd_calls, shape, calls):
         a, b = (rand_complex(np.random.default_rng(seed), *shape) for seed in (22, 23))
         sig = np.linalg.svd(a, compute_uv=False)
@@ -931,7 +957,9 @@ class TestSharedDecomposition:
 # non-members, wide shapes, z = 0 and the arguments of the retired search.
 # Member rows were recorded when the closed-form pair replaced the descent's
 # first pass, and non-member rows when the pair at the nearest region point
-# replaced the descent; the last two are non-members of empty regions.
+# replaced the descent; the last two are non-members of empty regions.  The
+# wide rows were recorded again when a wide A's pair came to be built from
+# A's own factors, swapped, instead of a second SVD of its adjoint.
 WITNESS_RESULTS = [
     ((5, 3), 2, 1, 0.6, 20, 500, '0x1.326fc2ba228fdp-49', 1, 1),
     ((5, 3), 2, 1, 1.2, 20, 500, '0x1.7f89ce180881bp-1', 1, 1),
@@ -940,17 +968,17 @@ WITNESS_RESULTS = [
     ((3, 3), 2, 2, 1.5, 20, 500, '0x1.1a820373623dcp-3', 1, 1),
     ((4, 4), 3, 2, 0.5, 20, 500, '0x1.c42f2a9c7f4f8p+0', 1, 1),
     ((5, 4), 3, 3, 1.1, 20, 500, '0x1.76c583b50bf72p-50', 1, 1),
-    ((2, 5), 2, 1, 0.7, 20, 500, '0x1.65edbcb4c09cfp-50', 1, 1),
-    ((2, 5), 2, 1, 1.4, 6, 500, '0x1.40da841dd9ca6p+1', 1, 1),
+    ((2, 5), 2, 1, 0.7, 20, 500, '0x1.552e84f9f97b4p-49', 1, 1),
+    ((2, 5), 2, 1, 1.4, 6, 500, '0x1.40da841dd9ca1p+1', 1, 1),
     ((4, 2), 2, 0, 0.0, 20, 500, '0x1.26df3a27f2356p-52', 1, 1),
     ((5, 3), 2, 0, 1.2, 5, 3, '0x1.42ffcca6bfd4cp+2', 1, 1),
     ((4, 3), 2, 1, 1.3, 3, 1, '0x1.09e8b38b06de3p+0', 1, 1),
     ((1, 1), 1, 0, 1.0, 20, 500, '0x1.0000000000000p-52', 1, 1),
-    ((3, 6), 3, 2, 1.2, 20, 500, '0x1.13cb3ba915d46p+0', 1, 1),
+    ((3, 6), 3, 2, 1.2, 20, 500, '0x1.13cb3ba915d4bp+0', 1, 1),
     ((8, 6), 1, 0, 1.2, 20, 500, '0x1.34388ffeb2e57p+0', 1, 1),
     ((8, 6), 5, 4, 0.97, 20, 500, '0x1.100e07040f366p-3', 1, 1),
     ((3, 3), 3, 1, 0.5, 20, 500, '0x1.1f00adbeec855p+1', 1, 1),
-    ((4, 5), 4, 3, 1.0, 20, 500, '0x1.3255ccacbee32p+1', 1, 1),
+    ((4, 5), 4, 3, 1.0, 20, 500, '0x1.3255ccacbee35p+1', 1, 1),
 ]
 
 
@@ -976,6 +1004,89 @@ def test_non_member_searches_make_recorded_svd_calls(svd_calls):
         svd_calls.clear()
         assert find_witness(a, k, z, seed=4, restarts=restarts, max_iter=max_iter).residual > 1e-8
         assert len(svd_calls) == count, row
+
+
+def two_step_pair(a, k, z, tol=1e-8):
+    """(left, right, residual, pairs built) of the closed-form pair at z and,
+    where that does not certify, the one at the nearest region point, for a
+    tall or square a; the residual is inf where no pair was found."""
+    u, sig, vh = _decomposed(a, True)
+    m, n = a.shape
+    e = pow2_shift(max(sig[0], abs(z.real), abs(z.imag)))
+    arr, sig, z = times_pow2(a, -e), times_pow2(sig, -e), complex(times_pow2(z, -e))
+    v = vh.conj().T
+    right, left = _start_frames(sig, u, v, m, n, k, z)
+    res, built = float(times_pow2(rankk._pair_residual(arr, left, right, z), e)), 1
+    outer = float(sig[k - 1])
+    inner = float(sig[m + n - 2 * k]) if 2 * k > m else 0.0
+    if not res <= tol and inner <= outer:
+        r = math.hypot(z.real, z.imag)
+        nearest = min(max(r, inner), outer) * (z / r if r else 1 + 0j)
+        right, left = _start_frames(sig, u, v, m, n, k, nearest)
+        res, built = float(times_pow2(rankk._pair_residual(arr, left, right, z), e)), 2
+    return left, right, res, built
+
+
+# relative offsets from each binding radius: on it, inside _start_frames'
+# 1e-10 band and past it
+BAND_OFFSETS = (0.0, 1e-13, -1e-13, 1e-11, -1e-11, 1e-9, -1e-9, 0.3, -0.3)
+
+
+def one_pair_cases():
+    """(a, k, z, offset) for the tall rows of WITNESS_RESULTS (offset None) and
+    for values at BAND_OFFSETS from the outer and any nonzero inner radius of
+    twelve matrices of every tall or square shape, at random phases."""
+    cases = []
+    for row, (shape, k, index, factor) in enumerate(r[:4] for r in WITNESS_RESULTS):
+        if shape[0] >= shape[1]:
+            a = rand_complex(np.random.default_rng(100 + row), *shape)
+            cases.append((a, k, complex(factor * float(svd(a).sigma[index]) * np.exp(0.7j)), None))
+    rng = np.random.default_rng(28)
+    for shape in [s for s in CERTIFICATE_SHAPES if s[0] >= s[1]]:
+        for _ in range(12):
+            a = rand_complex(rng, *shape)
+            for k in range(1, shape[1] + 1):
+                interval = radial_interval(rank_k_region(a, k).region)
+                for radius in sorted(set(interval or ())):
+                    for offset in BAND_OFFSETS if radius else (0.0,):
+                        z = radius * (1.0 + offset) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+                        cases.append((a, k, complex(z), offset))
+    return cases
+
+
+def test_a_value_builds_one_pair(monkeypatch):
+    # an outside or hole value past the band gets the pair at its nearest
+    # point with no attempt at z first; every pair is the two-step one bit
+    # for bit, and an in-band value still builds the second only when the
+    # first does not certify
+    built = []
+    real_start_frames = _start_frames
+
+    def counting(*args):
+        built.append(args[-1])
+        return real_start_frames(*args)
+
+    cases = one_pair_cases()
+    assert len(cases) == 3158
+    far, second = 0, 0
+    # at tol 1e-13 an in-band value 1e-11 outside does not certify at z
+    for (a, k, z, offset), tol in itertools.product(cases, (1e-8, 1e-13)):
+        left, right, res, steps = two_step_pair(a, k, z, tol)
+        built.clear()
+        monkeypatch.setattr(rankk, "_start_frames", counting)
+        wit = find_witness(a, k, z, tol=tol)
+        monkeypatch.undo()
+        if offset is None or abs(offset) >= 1e-9:
+            assert len(built) == 1
+            far += not rank_k_contains(a, k, z)
+        else:
+            assert len(built) == steps
+            second += steps == 2
+        assert wit.residual.hex() == res.hex() or res == math.inf
+        assert np.array_equal(wit.right, right)
+        if res < math.inf:
+            assert np.array_equal(wit.left, left)
+    assert (far, second) == (1512, 1011)
 
 
 @settings(max_examples=300)

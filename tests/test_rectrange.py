@@ -358,6 +358,29 @@ class TestNormRange:
         # power of two at 1e300 itself would flush it to 0)
         assert norm_range_disc([[1e300, 1e-30]], [[0, 1]]) == Point(1e-30 + 0j)
 
+    def test_one_entry_discs_are_points(self):
+        # a 1x1 B is parallel to A, so the set is the point A / B: the radius
+        # is 0, where rounding gave 1,511 of these 1,910 pairs a Disc of
+        # radius about 1e-16
+        draws = np.random.default_rng(0)
+        a = rand_complex(draws, 1910, 1)[:, :, None]
+        b = rand_complex(draws, 1910, 1)[:, :, None]
+        b *= draws.uniform(1.0, 3.0, (1910, 1, 1)) / np.abs(b)
+        for ai, bi in zip(a, b):
+            assert norm_range_disc(ai, bi) == Point(pytest.approx(complex(ai[0, 0] / bi[0, 0]),
+                                                                  rel=1e-15))
+        assert np.array_equal(_norm_discs(a[0], b)[1], np.zeros(1910))
+
+    def test_one_entry_union_is_points(self):
+        # every disc of a 1x1 union, the 32 rotated copies included, is a
+        # point, so sup_abs is the largest |centre| and carries no radius
+        (n_discs, sup_abs, violations, frob), centre, radius = _one_stack_union(
+            np.array([[1.1 + 0.9j]]), 200, 0)
+        report = norm_range_union([[1.1 + 0.9j]], 200, 0)
+        assert (report.n_discs, report.sup_abs) == (n_discs, sup_abs) == (232, np.abs(centre).max())
+        assert report.containment_violations == violations == 0
+        assert not radius.any()
+
     def test_union_report(self):
         report = norm_range_union(WIDE_EXAMPLE, 2000, 77)
         assert report.containment_violations == 0

@@ -256,9 +256,13 @@ def test_prop14_grid_margins_are_wide(rng):
 # frame, plus 180 SVDs of the images A N of witnesses in empty regions.
 # prop16: one full SVD of each of its 8 matrices at most twice as long as
 # wide and one per k of the 5 x 2 and 6 x 2 ones, which bypass the slot; its
-# projected norms take no SVD.  A count that grows means a route stopped
-# sharing.
-SUITE_SVD_CALLS = {"prop14": 270, "prop16": 12}
+# projected norms take no SVD.  prop1: for each of its 41 matrices, two thin
+# SVDs of its own (drawing it, and its top singular value) and one SVD for
+# its disc that its eight boundary witnesses share, wide ones included, since
+# they read the adjoint's factors from A's; the two 3 x 7 box cases bypass
+# the slot, so their disc is a thin SVD and each witness one full SVD.  A
+# count that grows means a route stopped sharing.
+SUITE_SVD_CALLS = {"prop1": 139, "prop14": 270, "prop16": 12}
 # prop16's projected norms: one eigvalsh of a Gram stack per side for each
 # of its 28 (matrix, k) pairs, the star frames' norms included.
 PROP16_EIGVALSH_CALLS = 56
