@@ -155,7 +155,7 @@ def _cmd_compute(args) -> int:
     except (MatrixParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # numpy's MemoryError names the size, e.g. --angles
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -9,18 +9,14 @@ object; floats round-trip losslessly (shortest-repr, 17 significant digits).
 One table, ``_KINDS``, maps each tag to its region dataclass and the payload
 keys of its fields in field order; a field annotated ``complex`` is written
 as an ``[re, im]`` pair and every other field as a float.  Only ``boundary``
-(a sampled ``ConvexBoundary``) has its own layout: ``angles`` and ``support``
-lists and a list of ``[re, im]`` points.  A boundary's ``angles`` text is
-cached per grid, keyed on the grid's exact bytes, and every byte of the file
-stays the same.  The cache lives in one process: a caller that writes several
-files on one grid (a sweep over many matrices) formats a quarter fewer floats
-from the second file on, while a process that writes one file, such as
-``nrange compute``, always misses and saves nothing.
+(a sampled ``ConvexBoundary``) has its own layout: ``angles``, a ``support``
+list and a list of ``[re, im]`` points.  ``angles`` is the count N when the
+grid is ``default_angles(N)`` byte for byte, which the reader rebuilds, and
+the list of angles for any other grid.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 from dataclasses import fields
@@ -39,8 +35,9 @@ from .geometry import (
     Point,
     Region,
     Segment,
+    default_angles,
 )
-from .linalg import require_ints
+from .linalg import as_matrix, require_ints
 
 __all__ = [
     "MatrixParseError",
@@ -135,25 +132,26 @@ def _matrix_from_csv(text: str) -> np.ndarray:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Load a matrix file, sniffing JSON versus CSV from the content."""
-    text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MatrixParseError(f"{path}: bad JSON: {exc}") from exc
-        return _matrix_from_json(payload)
-    return _matrix_from_csv(text)
+    """Load a matrix file, sniffing JSON versus CSV from the content.
+
+    Every decoding failure is a MatrixParseError: bytes that are not UTF-8,
+    bad JSON, an integer past Python's digit limit, nesting too deep to parse.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        payload = json.loads(text) if text.lstrip().startswith("{") else None
+    except (ValueError, RecursionError) as exc:  # ValueError: UnicodeDecodeError too
+        raise MatrixParseError(f"{path}: bad matrix file: {exc}") from exc
+    return _matrix_from_csv(text) if payload is None else _matrix_from_json(payload)
 
 
 def save_matrix_json(path, a) -> None:
-    arr = np.asarray(a, dtype=complex)
-    payload = {
-        "rows": arr.shape[0],
-        "cols": arr.shape[1],
-        "data": [[float(v.real), float(v.imag)] for v in arr.ravel()],
-    }
-    Path(path).write_text(json.dumps(payload))
+    """Write ``linalg.as_matrix(a)`` in the JSON layout; ValueError, and no file, for
+    input that is not a finite matrix or vector (a vector is written as a column)."""
+    arr = as_matrix(a)
+    data = [[float(v.real), float(v.imag)] for v in arr.ravel()]
+    payload = {"rows": arr.shape[0], "cols": arr.shape[1], "data": data}
+    Path(path).write_text(json.dumps(payload, allow_nan=False))
 
 
 # kind tag -> (dataclass, payload keys in field order)
@@ -173,9 +171,12 @@ def region_to_payload(region: Region, meta: dict) -> dict:
     """Serializable dict for a region plus its metadata block."""
     if isinstance(region, ConvexBoundary):
         curve = region.curve
+        n = len(curve.angles)
+        # bytes, not values: a grid from -0.0, or one an ulp off, keeps its list
+        default = curve.angles.tobytes() == default_angles(n).tobytes()
         body = {
             "kind": "boundary",
-            "angles": curve.angles.tolist(),
+            "angles": n if default else curve.angles.tolist(),
             "support": curve.support.tolist(),
             "points": np.column_stack([curve.points.real, curve.points.imag]).tolist(),
         }
@@ -222,6 +223,17 @@ def _points(pairs) -> np.ndarray:
     return xy.view(complex)[:, 0]
 
 
+def _numbers(value, key: str) -> np.ndarray:
+    """A boundary's list of numbers as an array; ValueError naming ``key`` otherwise."""
+    try:
+        arr = np.array(value) if isinstance(value, list) else None
+    except ValueError:  # a ragged list
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        raise ValueError(f"boundary region's {key!r} must be a list of numbers")
+    return arr
+
+
 def _number(value, kind: str, key: str, pair: bool):
     try:
         if not pair:
@@ -238,7 +250,9 @@ def region_from_payload(payload: dict) -> tuple[Region, dict]:
     """Inverse of :func:`region_to_payload`.
 
     ValueError for a payload that is not an object, an unknown ``kind``, a
-    missing key, or an entry of the wrong shape, naming the key or the entry.
+    missing key, or an entry of the wrong shape or type, naming the key or the
+    entry.  A boundary's ``angles`` is a list, or a count N of at least 2 that
+    matches ``support`` and stands for ``default_angles(N)``.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"a region payload is a JSON object, got {type(payload).__name__}")
@@ -247,12 +261,14 @@ def region_from_payload(payload: dict) -> tuple[Region, dict]:
     if kind == "boundary":
         angles, support, pairs = (_required(payload, kind, key)
                                   for key in ("angles", "support", "points"))
-        curve = BoundaryCurve(
-            np.array(angles, dtype=float),
-            np.array(support, dtype=float),
-            _points(pairs),
-        )
-        return ConvexBoundary(curve), meta
+        support = _numbers(support, "support")
+        if type(angles) is not int:  # not a bool either
+            angles = _numbers(angles, "angles")
+        elif angles < 2 or angles != len(support):
+            raise ValueError(f"boundary region's 'angles' count {angles} does not fit its support")
+        else:
+            angles = default_angles(angles)
+        return ConvexBoundary(BoundaryCurve(angles, support, _points(pairs))), meta
     try:
         cls, keys = _KINDS[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable tag
@@ -264,33 +280,15 @@ def region_from_payload(payload: dict) -> tuple[Region, dict]:
     return cls(*values), meta
 
 
-# the angles' stand-in while the rest of a boundary is encoded; region_to_payload
-# puts angles ahead of meta, so its first occurrence is that slot whatever meta holds
-_ANGLES_SLOT = "\0angles"
-
-
-@functools.lru_cache(maxsize=4)
-def _angles_text(grid: bytes) -> str:
-    """JSON text of an angle grid, given its float64 bytes."""
-    return json.dumps(np.frombuffer(grid).tolist(), allow_nan=False)
-
-
 def save_region(path, region: Region, meta: dict) -> None:
-    """Write a region file; ValueError, and no file, when a float is not finite.
-
-    The text is ``json.dumps(region_to_payload(region, meta), allow_nan=False)``
-    byte for byte; a boundary's angles are spliced in from ``_angles_text``,
-    which saves work only for a grid this process has written before.
-    """
-    payload = region_to_payload(region, meta)
-    if isinstance(region, ConvexBoundary):
-        payload["angles"] = _ANGLES_SLOT
-        text = json.dumps(payload, allow_nan=False).replace(
-            json.dumps(_ANGLES_SLOT), _angles_text(region.curve.angles.tobytes()), 1)
-    else:
-        text = json.dumps(payload, allow_nan=False)
-    Path(path).write_text(text)
+    """Write a region file; ValueError, and no file, when a float is not finite."""
+    Path(path).write_text(json.dumps(region_to_payload(region, meta), allow_nan=False))
 
 
 def load_region(path) -> tuple[Region, dict]:
-    return region_from_payload(json.loads(Path(path).read_text()))
+    """Read a region file; every decoding failure is a ValueError."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+    return region_from_payload(payload)

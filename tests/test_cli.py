@@ -187,7 +187,8 @@ class TestCompute:
         assert code == EXIT_OK
         payload = json.loads(out.read_text())
         assert payload["kind"] == "boundary"
-        assert len(payload["angles"]) == 90
+        # the default grid is written as its count
+        assert payload["angles"] == 90
 
     @pytest.mark.parametrize("n_angles", [37, 721])
     def test_fov_odd_grid_matches_sweep(self, tmp_path, rng, n_angles):
@@ -235,6 +236,21 @@ class TestCompute:
             assert code == EXIT_USAGE
             assert captured.out == "" and not out.exists()
             assert captured.err == f"error: --angles must be >= 8, got {n_angles}\n"
+
+    @pytest.mark.parametrize("set_name", ["fov", "wl", "wh"])
+    @pytest.mark.parametrize("n_angles", [10**13, 10**18])
+    def test_unallocatable_angle_count_is_domain_error(self, tmp_path, capsys, set_name, n_angles):
+        # numpy refuses these grids at once; the MemoryError was a traceback
+        src = tmp_path / "a.json"
+        save_matrix_json(src, np.eye(3))
+        out = tmp_path / "r.json"
+        code = main(["compute", "--input", str(src), "--set", set_name,
+                     "--angles", str(n_angles), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: Unable to allocate")
+        assert captured.err.count("\n") == 1
 
     def test_wh_with_explicit_frame(self, tmp_path, rng):
         a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))

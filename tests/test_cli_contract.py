@@ -18,10 +18,11 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nrange.cli import main
+from nrange.cli import EXIT_PARSE, main
 
 # the top of the float range is where overflow shows, so it is drawn most
 MAGNITUDES = [1e-320, 1e-300, 1e-150, 1e-12, 1.0, 1e12, 1e150, 1e300, 1e307, 1.7e308, 1.7e308]
@@ -31,6 +32,12 @@ BAD_JSON_HEADERS = [{"rows": 1.9}, {"cols": True}, {"rows": "2"}, {"rows": -1}, 
 BAD_CSV_HEADERS = ["1.7,2", "2", "a,b", "-1,2", "2,2,2", ""]
 BAD_JSON_ENTRIES = [[True, 1], "3", [1], [10**400, 0], None, [1, 2, 3], ["1", 0]]
 BAD_LITERALS = ["1+e8i", "--1", "1ii", "nan", "inf", "1e999", "i1", "1_0", "0x10", "+", "3j"]
+# files the JSON decoder itself refuses: each once exited 4, 4 and 1 (with a traceback)
+UNDECODABLE_FILES = {
+    "not-utf8": b'{"rows": 1, "cols": 1, "data": [[1, 0]]} \xff\xfe',
+    "5000-digit-integer": b'{"rows": 1, "cols": 1, "data": [[1' + b"0" * 4999 + b', 0]]}',
+    "nested-100000-deep": b'{"a":' * 100_000 + b"1" + b"}" * 100_000,
+}
 
 
 def _literal(value) -> str:
@@ -126,3 +133,13 @@ def test_compute_keeps_its_contract(matrix, chosen, with_svg, comparison, seed):
                                        "--out-dir", str(tmp / "figures")])
         _check_contract(code, out, err, caught, [figure])
         assert code in (0, 2)
+
+
+@pytest.mark.parametrize("content", UNDECODABLE_FILES.values(), ids=UNDECODABLE_FILES)
+def test_undecodable_matrix_file_is_parse_error(tmp_path, content):
+    (tmp_path / "a.json").write_bytes(content)
+    written = [str(tmp_path / "region.json")]
+    code, out, err, caught = _run(["compute", "--input", str(tmp_path / "a.json"), "--set", "w",
+                                   "--out", written[0]])
+    _check_contract(code, out, err, caught, written)
+    assert code == EXIT_PARSE and not Path(written[0]).exists()

@@ -23,9 +23,7 @@ from nrange.geometry import (
     region_support_curve,
 )
 from nrange.io import (
-    _ANGLES_SLOT,
     MatrixParseError,
-    _angles_text,
     _matrix_from_json,
     load_matrix,
     load_region,
@@ -212,6 +210,38 @@ class TestMatrixFiles:
         with pytest.raises(MatrixParseError, match="finite"):
             load_matrix(path)
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{"rows": 1, "cols": 1, "data": [[1, 0]]} \xff\xfe', "can't decode byte 0xff"),
+        (b"1,1\n\xe9\n", "can't decode byte 0xe9"),
+        (b'{"rows": 1, "cols": 1, "data": [[1' + b"0" * 5000 + b', 0]]}', "4300 digits"),
+        (b'{"a":' * 100_000 + b"1" + b"}" * 100_000, "recursion"),
+    ], ids=["json-not-utf8", "csv-not-utf8", "5000-digits", "nested-100000-deep"])
+    def test_undecodable_file(self, tmp_path, content, message):
+        # a UnicodeDecodeError and the digit limit's ValueError were not MatrixParseErrors,
+        # and the nesting raised RecursionError
+        path = tmp_path / "m.json"
+        path.write_bytes(content)
+        with pytest.raises(MatrixParseError, match=message):
+            load_matrix(path)
+
+    def test_save_writes_a_vector_as_a_column(self, tmp_path):
+        # a 1-d input raised IndexError
+        path = tmp_path / "v.json"
+        save_matrix_json(path, [1, 2j, -3])
+        assert json.loads(path.read_text())["rows"] == 3
+        assert np.array_equal(load_matrix(path), np.array([[1], [2j], [-3]]))
+
+    @pytest.mark.parametrize("a, message", [
+        ([[1.0, np.nan]], "finite"), ([[np.inf]], "finite"), ([[complex(0, -np.inf)]], "finite"),
+        ([[[1.0]]], "shape"), ([], "shape"),
+    ], ids=["nan", "inf", "imag-inf", "3-d", "empty"])
+    def test_save_refuses_what_load_would_refuse(self, tmp_path, a, message):
+        # NaN and Infinity were written, which load_matrix refuses; [[[1]]] was written as 1x1
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match=message):
+            save_matrix_json(path, a)
+        assert not path.exists()
+
 
 NUMBERS = st.one_of(st.integers(-10**6, 10**6), st.floats(-1e6, 1e6))
 NOT_NUMBERS = st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.lists(NUMBERS, max_size=2))
@@ -338,7 +368,7 @@ def test_boundary_bytes_match_per_element_encoding(tmp_path, rng):
     save_region(path, ConvexBoundary(curve), meta)
     expected = {
         "kind": "boundary",
-        "angles": [float(t) for t in curve.angles],
+        "angles": 720,
         "support": [float(p) for p in curve.support],
         "points": [[float(z.real), float(z.imag)] for z in curve.points],
         "meta": meta,
@@ -361,51 +391,53 @@ def _written(tmp_path, region, meta):
     return path.read_text()
 
 
-class TestAngleGridReuse:
-    """save_region splices a cached text of the angles into the file; the bytes stay
-    json.dumps(region_to_payload(region, meta), allow_nan=False)."""
+def _bits(curve):
+    return [array.tobytes() for array in (curve.angles, curve.support, curve.points)]
 
-    def test_alternating_grids_hit_miss_and_overflow_the_cache(self, tmp_path):
-        _angles_text.cache_clear()
-        grids = [default_angles(n) for n in (8, 9, 720, 721)]
-        # more grids than the cache holds, so entries are evicted and made again
-        grids += [default_angles(n) for n in range(10, 10 + _angles_text.cache_info().maxsize)]
-        meta = {"set": "fov", "sigma": [2.0, 1.0 / 3.0], "tool_version": "0.1.0"}
-        for round_ in range(3):
-            for j, angles in enumerate(grids):
-                region = _boundary(angles, 1.0 + round_ + j / 7)
-                text = _written(tmp_path, region, meta)
-                assert text == json.dumps(region_to_payload(region, meta), allow_nan=False)
-        info = _angles_text.cache_info()
-        assert info.misses > info.maxsize
-        # back to back, the same grid is a hit
-        for _ in range(2):
-            region = _boundary(default_angles(720))
-            assert _written(tmp_path, region, meta) == json.dumps(region_to_payload(region, meta))
-        assert _angles_text.cache_info().hits > info.hits
+
+class TestAngleGridReuse:
+    """A default_angles(N) grid is written as its count N and rebuilt, bit for bit, on
+    loading; any other grid, by its bytes, keeps its list of floats."""
+
+    @pytest.mark.parametrize("n", [8, 721])
+    def test_exact_text_of_a_default_grid(self, tmp_path, n):
+        curve = region_support_curve(Disc(0j, 2.0), default_angles(n))
+        support = json.dumps(curve.support.tolist())
+        points = json.dumps(np.column_stack([curve.points.real, curve.points.imag]).tolist())
+        text = _written(tmp_path, ConvexBoundary(curve), {"set": "fov"})
+        assert text == (f'{{"kind": "boundary", "angles": {n}, "support": {support}, '
+                        f'"points": {points}, "meta": {{"set": "fov"}}}}')
+        assert _bits(load_region(tmp_path / "r.json")[0].curve) == _bits(curve)
 
     def test_grid_that_is_not_the_default(self, tmp_path, rng):
         angles = np.sort(rng.uniform(0.01, 6.0, 50))
-        angles[0] = -0.0
-        for grid in (angles, angles + 1e-3, angles * np.pi):
+        zero_first = angles.copy()
+        zero_first[0] = -0.0
+        # one ulp off in a single angle is not the default grid
+        ulp_off = default_angles(720)
+        ulp_off[300] = np.nextafter(ulp_off[300], 4.0)
+        for grid in (angles, zero_first, ulp_off):
             region = _boundary(grid)
             text = _written(tmp_path, region, {"set": "wl"})
-            assert text == json.dumps(region_to_payload(region, {"set": "wl"}))
-        # the key is the grid's bytes: -0.0 and 0.0 are two grids
-        zero = angles.copy()
+            assert json.loads(text)["angles"] == grid.tolist()
+            assert _bits(load_region(tmp_path / "r.json")[0].curve) == _bits(region.curve)
+        # -0.0 and 0.0 are two grids
+        zero = zero_first.copy()
         zero[0] = 0.0
-        texts = [_written(tmp_path, _boundary(grid), {}) for grid in (angles, zero, angles)]
+        texts = [_written(tmp_path, _boundary(grid), {}) for grid in (zero_first, zero)]
         assert texts[0].startswith('{"kind": "boundary", "angles": [-0.0, ')
         assert texts[1].startswith('{"kind": "boundary", "angles": [0.0, ')
-        assert texts[2] == texts[0]
 
-    def test_meta_holding_the_slot_text(self, tmp_path):
-        region = _boundary(default_angles(9))
-        meta = {"set": _ANGLES_SLOT, _ANGLES_SLOT: [json.dumps(_ANGLES_SLOT)],
-                "note": "angles " + json.dumps(_ANGLES_SLOT)}
-        text = _written(tmp_path, region, meta)
-        assert text == json.dumps(region_to_payload(region, meta), allow_nan=False)
-        assert load_region(tmp_path / "r.json")[1] == meta
+    @pytest.mark.parametrize("n", [8, 720])
+    def test_file_listing_a_default_grid_loads_the_same_curve(self, tmp_path, n):
+        # files written before the count form list every angle
+        region = _boundary(default_angles(n))
+        payload = region_to_payload(region, {"set": "fov"})
+        assert payload["angles"] == n
+        payload["angles"] = [float(t) for t in region.curve.angles]
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(payload))
+        assert _bits(load_region(path)[0].curve) == _bits(region.curve)
 
     @pytest.mark.parametrize("angles, meta", [
         (default_angles(720), {"set": "fov", "sigma": [np.inf, 1.0]}),
@@ -465,6 +497,33 @@ class TestMalformedRegionPayloads:
         payload["points"] = points
         with pytest.raises(ValueError, match="boundary points must be a list"):
             region_from_payload(payload)
+
+    @pytest.mark.parametrize("key, value", [
+        ("angles", {"a": 1}), ("angles", 720.0), ("angles", True), ("angles", "x"),
+        ("angles", [1.0, "2"]), ("angles", [[1.0]]), ("angles", [True, False]),
+        ("support", "x"), ("support", None), ("support", [1.0, [2.0]]), ("support", ["1.5"]),
+    ])
+    def test_boundary_list_of_the_wrong_type(self, key, value):
+        # {"a": 1} raised TypeError, and "x" numpy's "could not convert string to float"
+        payload = _boundary_payload()
+        payload[key] = value
+        with pytest.raises(ValueError, match=f"boundary region's '{key}' must be a list of numbers"):
+            region_from_payload(payload)
+
+    @pytest.mark.parametrize("count", [1, 0, -8, 7, 9, 10**13])
+    def test_boundary_angle_count_that_does_not_fit(self, count):
+        payload = _boundary_payload()
+        assert payload["angles"] == 8
+        payload["angles"] = count
+        with pytest.raises(ValueError, match=f"'angles' count {count} does not fit its support"):
+            region_from_payload(payload)
+
+    def test_region_file_nested_too_deeply(self, tmp_path):
+        # raised RecursionError
+        path = tmp_path / "r.json"
+        path.write_text('{"a":' * 100_000 + "1" + "}" * 100_000)
+        with pytest.raises(ValueError, match="nested too deeply"):
+            load_region(path)
 
     @pytest.mark.parametrize("key, value, shape", [
         ("center", [1.0], "pair"), ("center", 5.0, "pair"), ("center", [1.0, 2.0, 3.0], "pair"),
