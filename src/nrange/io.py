@@ -5,18 +5,24 @@ Matrix files are either JSON objects ``{"rows": m, "cols": n, "data":
 booleans), or CSV whose header line carries
 the two dimensions followed by complex literals like ``6+1i`` or ``-3-6i``.
 Region files are JSON with a ``kind`` tag, a payload per kind, and a ``meta``
-object; floats round-trip losslessly (shortest-repr, 17 significant digits).
+object; floats round-trip losslessly, bit for bit.
 One table, ``_KINDS``, maps each tag to its region dataclass and the payload
 keys of its fields in field order; a field annotated ``complex`` is written
-as an ``[re, im]`` pair and every other field as a float.  Only ``boundary``
-(a sampled ``ConvexBoundary``) has its own layout: ``angles``, a ``support``
-list and a list of ``[re, im]`` points.  ``angles`` is the count N when the
-grid is ``default_angles(N)`` byte for byte, which the reader rebuilds, and
-the list of angles for any other grid.
+as an ``[re, im]`` pair and every other field as a float (shortest repr).
+Only ``boundary`` (a sampled ``ConvexBoundary``) has its own layout, one key
+per array: ``angles``, ``support`` and ``points``.  ``points`` is written as
+the base64 text of its raw little-endian bytes (``<c16``, which is re, im,
+re, im, ...), and so is a grid (``<f8``) unless it is ``default_angles(N)``
+byte for byte, which is written as the count N and rebuilt by the reader.
+``support`` stays a list of floats (shortest repr), the one array that
+``perfbench/selftest.py`` edits in place to corrupt a file.  The reader takes
+either form for every array, so the list form of earlier files loads too:
+numbers, and ``[re, im]`` pairs for ``points``.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import re
 from dataclasses import fields
@@ -53,6 +59,16 @@ __all__ = [
 
 class MatrixParseError(ValueError):
     """A matrix file could not be parsed."""
+
+
+# type(), not isinstance(): JSON true and false load as bools, which are ints
+_NUMBER = (int, float)
+
+
+def _is_pair(entry) -> bool:
+    """An ``[re, im]`` pair of JSON numbers."""
+    return (type(entry) is list and len(entry) == 2
+            and type(entry[0]) in _NUMBER and type(entry[1]) in _NUMBER)
 
 
 _COMPLEX = re.compile(
@@ -93,11 +109,9 @@ def _matrix_from_json(payload: dict) -> np.ndarray:
         raise MatrixParseError("matrix JSON data must be a list of [re, im] pairs")
     if len(data) != rows * cols:
         raise MatrixParseError(f"expected {rows * cols} entries, got {len(data)}")
-    for index, entry in enumerate(data):
-        # type(), not isinstance(): JSON true and false load as bools, which are ints
-        if not (type(entry) is list and len(entry) == 2
-                and type(entry[0]) in (int, float) and type(entry[1]) in (int, float)):
-            raise MatrixParseError(f"entry {index} must be an [re, im] pair of numbers")
+    index = next((i for i, entry in enumerate(data) if not _is_pair(entry)), None)
+    if index is not None:
+        raise MatrixParseError(f"entry {index} must be an [re, im] pair of numbers")
     try:
         flat = [complex(re_part, im_part) for re_part, im_part in data]
     except OverflowError as exc:  # an integer literal beyond the float range
@@ -167,18 +181,33 @@ _KINDS = {
 _TAGS = {cls: kind for kind, (cls, _) in _KINDS.items()}
 
 
+# boundary key -> (dtype of its base64 bytes, its list form)
+_ARRAYS = {
+    "angles": ("<f8", "a list of numbers"),
+    "support": ("<f8", "a list of numbers"),
+    "points": ("<c16", "a list of [re, im] pairs of numbers"),
+}
+
+
+def _encoded(arr: np.ndarray, key: str) -> str:
+    if not np.isfinite(arr).all():  # refused as json.dumps refuses a float
+        raise ValueError(f"Out of range float values are not JSON compliant: {key!r}")
+    return base64.b64encode(arr.astype(_ARRAYS[key][0], copy=False).tobytes()).decode("ascii")
+
+
 def region_to_payload(region: Region, meta: dict) -> dict:
-    """Serializable dict for a region plus its metadata block."""
+    """Serializable dict for a region plus its metadata block; ValueError, worded
+    as json's own, for a boundary array to encode that is not finite."""
     if isinstance(region, ConvexBoundary):
         curve = region.curve
         n = len(curve.angles)
-        # bytes, not values: a grid from -0.0, or one an ulp off, keeps its list
+        # bytes, not values: a grid from -0.0, or one an ulp off, is written out
         default = curve.angles.tobytes() == default_angles(n).tobytes()
         body = {
             "kind": "boundary",
-            "angles": n if default else curve.angles.tolist(),
+            "angles": n if default else _encoded(curve.angles, "angles"),
             "support": curve.support.tolist(),
-            "points": np.column_stack([curve.points.real, curve.points.imag]).tolist(),
+            "points": _encoded(curve.points, "points"),
         }
     elif type(region) in _TAGS:
         kind = _TAGS[type(region)]
@@ -200,50 +229,64 @@ def _required(payload: dict, kind: str, key: str):
         raise ValueError(f"{kind} region has no {key!r}") from None
 
 
-def _is_pair(entry) -> bool:
+def _floats(values: list, key: str) -> np.ndarray:
     try:
-        return np.array(entry, dtype=float).shape == (2,)
-    except (TypeError, ValueError):
-        return False
+        return np.array(values, dtype=float)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError(f"boundary region's {key!r} must be finite") from None
 
 
 def _points(pairs) -> np.ndarray:
-    """A boundary's ``[re, im]`` points as complex; ValueError naming the first bad one."""
-    try:
-        xy = np.array(pairs, dtype=float)
-    except (TypeError, ValueError):
-        xy = None
-    if xy is None or xy.ndim != 2 or xy.shape[1] != 2:
-        entries = pairs if isinstance(pairs, list) else []
-        index = next((i for i, entry in enumerate(entries) if not _is_pair(entry)), None)
-        if index is None:
-            raise ValueError("boundary points must be a list of [re, im] pairs of numbers")
+    """A boundary's list of ``[re, im]`` points as complex; ValueError naming the
+    first bad one."""
+    if type(pairs) is not list or not pairs:
+        raise ValueError("boundary points must be a list of [re, im] pairs of numbers")
+    index = next((i for i, entry in enumerate(pairs) if not _is_pair(entry)), None)
+    if index is not None:
         raise ValueError(f"boundary point {index} must be an [re, im] pair of numbers")
     # the pairs' bits as they are: re + 1j*im would turn the sign of a zero
-    return xy.view(complex)[:, 0]
+    return _floats(pairs, "points").view(complex)[:, 0]
 
 
-def _numbers(value, key: str) -> np.ndarray:
-    """A boundary's list of numbers as an array; ValueError naming ``key`` otherwise."""
-    try:
-        arr = np.array(value) if isinstance(value, list) else None
-    except ValueError:  # a ragged list
-        arr = None
-    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
-        raise ValueError(f"boundary region's {key!r} must be a list of numbers")
+def _array(value, key: str) -> np.ndarray:
+    """A boundary array from its base64 text or its list form; ValueError naming
+    ``key`` or the entry for text that is not base64 of whole values, a list
+    of the wrong type, or a value that is not finite."""
+    dtype, listing = _ARRAYS[key]
+    if isinstance(value, str):
+        try:
+            raw = base64.b64decode(value, validate=True)
+        except ValueError as exc:  # binascii.Error, or text that is not ASCII
+            raise ValueError(f"boundary region's {key!r} must be {listing} or base64 text: "
+                             f"{exc}") from None
+        size = np.dtype(dtype).itemsize
+        if len(raw) % size:
+            raise ValueError(f"boundary region's {key!r} holds {len(raw)} bytes, "
+                             f"not a whole number of {dtype} values")
+        arr = np.frombuffer(raw, dtype)
+        arr = arr.astype(arr.dtype.newbyteorder("="))  # a writable copy, native order
+    elif key == "points":
+        arr = _points(value)
+    elif type(value) is list and all(type(v) in _NUMBER for v in value):
+        arr = _floats(value, key)
+    else:
+        raise ValueError(f"boundary region's {key!r} must be {listing} or base64 text")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"boundary region's {key!r} must be finite")
     return arr
 
 
 def _number(value, kind: str, key: str, pair: bool):
+    if not (_is_pair(value) if pair else type(value) in _NUMBER):
+        want = "an [re, im] pair of numbers" if pair else "a number"
+        raise ValueError(f"{kind} region's {key!r} must be {want}")
     try:
-        if not pair:
-            return float(value)
-        if isinstance(value, list) and len(value) == 2:
-            return complex(float(value[0]), float(value[1]))
-    except (TypeError, ValueError):
-        pass
-    want = "an [re, im] pair of numbers" if pair else "a number"
-    raise ValueError(f"{kind} region's {key!r} must be {want}")
+        number = complex(*value) if pair else float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = np.inf
+    if not np.isfinite(number):  # json.loads reads NaN and Infinity
+        raise ValueError(f"{kind} region's {key!r} must be finite")
+    return number
 
 
 def region_from_payload(payload: dict) -> tuple[Region, dict]:
@@ -251,7 +294,9 @@ def region_from_payload(payload: dict) -> tuple[Region, dict]:
 
     ValueError for a payload that is not an object, an unknown ``kind``, a
     missing key, or an entry of the wrong shape or type, naming the key or the
-    entry.  A boundary's ``angles`` is a list, or a count N of at least 2 that
+    entry, or a number that is not finite; JSON numbers are ints and floats,
+    never bools or strings.  A boundary's arrays are base64 text or lists of
+    one length, and its ``angles`` may also be a count N of at least 2 that
     matches ``support`` and stands for ``default_angles(N)``.
     """
     if not isinstance(payload, dict):
@@ -259,16 +304,19 @@ def region_from_payload(payload: dict) -> tuple[Region, dict]:
     kind = payload.get("kind")
     meta = payload.get("meta", {})
     if kind == "boundary":
-        angles, support, pairs = (_required(payload, kind, key)
-                                  for key in ("angles", "support", "points"))
-        support = _numbers(support, "support")
+        angles, support, points = (_required(payload, kind, key) for key in _ARRAYS)
+        support, points = _array(support, "support"), _array(points, "points")
         if type(angles) is not int:  # not a bool either
-            angles = _numbers(angles, "angles")
+            angles = _array(angles, "angles")
         elif angles < 2 or angles != len(support):
             raise ValueError(f"boundary region's 'angles' count {angles} does not fit its support")
         else:
             angles = default_angles(angles)
-        return ConvexBoundary(BoundaryCurve(angles, support, _points(pairs))), meta
+        for key, arr in (("angles", angles), ("points", points)):
+            if len(arr) != len(support):
+                raise ValueError(f"boundary region's {key!r} has {len(arr)} values "
+                                 f"and its 'support' {len(support)}")
+        return ConvexBoundary(BoundaryCurve(angles, support, points)), meta
     try:
         cls, keys = _KINDS[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable tag
@@ -281,7 +329,7 @@ def region_from_payload(payload: dict) -> tuple[Region, dict]:
 
 
 def save_region(path, region: Region, meta: dict) -> None:
-    """Write a region file; ValueError, and no file, when a float is not finite."""
+    """Write a region file; ValueError, and no file, when a number is not finite."""
     Path(path).write_text(json.dumps(region_to_payload(region, meta), allow_nan=False))
 
 

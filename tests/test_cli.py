@@ -12,9 +12,9 @@ from nrange.cli import (
     main,
 )
 from nrange.fov import fov_boundary
-from nrange.geometry import region_contains
+from nrange.geometry import ConvexBoundary, region_contains, scale_region
 from nrange.io import load_matrix, load_region, save_matrix_json
-from nrange.linalg import svd
+from nrange.linalg import pow2_scaled, svd
 from nrange.reference import WIDE_EXAMPLE
 from nrange.verify import SUITE_NAMES
 
@@ -207,6 +207,30 @@ class TestCompute:
         assert np.array_equal(curve.angles, expected.angles)
         assert np.array_equal(curve.support, expected.support)
         assert np.array_equal(curve.points, expected.points)
+
+    def test_fov_file_holds_base64_points_and_a_count(self, tmp_path, rng):
+        # a matrix far from unit scale, so the written curve is scaled back
+        a = 1e200 * (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+        src = tmp_path / "a.json"
+        save_matrix_json(src, a)
+        out = tmp_path / "fov.json"
+        code = main(["compute", "--input", str(src), "--set", "fov", "--angles", "720",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["angles"] == 720
+        assert type(payload["support"]) is list and type(payload["points"]) is str
+        # 21 1/3 base64 characters a point, where an [re, im] pair of these takes 52
+        points = load_region(out)[0].curve.points
+        pairs = json.dumps(np.column_stack([points.real, points.imag]).tolist())
+        assert len(payload["points"]) == 15_360 and len(pairs) > 35_000
+        assert out.stat().st_size < 35_000  # about 55 KB with listed points
+        matrix, e = pow2_scaled(load_matrix(src))
+        expected = scale_region(ConvexBoundary(fov_boundary(matrix, 720)), e).curve
+        curve = load_region(out)[0].curve
+        for got, want in [(curve.angles, expected.angles), (curve.support, expected.support),
+                          (curve.points, expected.points)]:
+            assert got.tobytes() == want.tobytes()
 
     def test_wl_odd_grid(self, tmp_path, rng):
         a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))

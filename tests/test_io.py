@@ -1,6 +1,8 @@
+import base64
 import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -355,6 +357,10 @@ def test_boundary_curve_round_trip_preserves_exact_floats(tmp_path):
     assert np.array_equal(loaded.curve.points, points)
 
 
+def _b64(arr, dtype):
+    return base64.b64encode(np.asarray(arr).astype(dtype).tobytes()).decode("ascii")
+
+
 def test_boundary_bytes_match_per_element_encoding(tmp_path, rng):
     curve = fov_boundary(rand_complex(rng, 5, 5), 720)
     # signed zeros must survive both ways
@@ -366,11 +372,13 @@ def test_boundary_bytes_match_per_element_encoding(tmp_path, rng):
     meta = {"set": "fov"}
     path = tmp_path / "b.json"
     save_region(path, ConvexBoundary(curve), meta)
+    # the points' bytes, packed element by element as little-endian doubles
+    points_bytes = b"".join(struct.pack("<dd", z.real, z.imag) for z in curve.points)
     expected = {
         "kind": "boundary",
         "angles": 720,
         "support": [float(p) for p in curve.support],
-        "points": [[float(z.real), float(z.imag)] for z in curve.points],
+        "points": base64.b64encode(points_bytes).decode("ascii"),
         "meta": meta,
     }
     assert path.read_text() == json.dumps(expected)
@@ -397,16 +405,15 @@ def _bits(curve):
 
 class TestAngleGridReuse:
     """A default_angles(N) grid is written as its count N and rebuilt, bit for bit, on
-    loading; any other grid, by its bytes, keeps its list of floats."""
+    loading; any other grid, by its bytes, is written out as base64 text."""
 
     @pytest.mark.parametrize("n", [8, 721])
     def test_exact_text_of_a_default_grid(self, tmp_path, n):
         curve = region_support_curve(Disc(0j, 2.0), default_angles(n))
-        support = json.dumps(curve.support.tolist())
-        points = json.dumps(np.column_stack([curve.points.real, curve.points.imag]).tolist())
+        support, points = json.dumps(curve.support.tolist()), _b64(curve.points, "<c16")
         text = _written(tmp_path, ConvexBoundary(curve), {"set": "fov"})
         assert text == (f'{{"kind": "boundary", "angles": {n}, "support": {support}, '
-                        f'"points": {points}, "meta": {{"set": "fov"}}}}')
+                        f'"points": "{points}", "meta": {{"set": "fov"}}}}')
         assert _bits(load_region(tmp_path / "r.json")[0].curve) == _bits(curve)
 
     def test_grid_that_is_not_the_default(self, tmp_path, rng):
@@ -419,20 +426,20 @@ class TestAngleGridReuse:
         for grid in (angles, zero_first, ulp_off):
             region = _boundary(grid)
             text = _written(tmp_path, region, {"set": "wl"})
-            assert json.loads(text)["angles"] == grid.tolist()
+            assert json.loads(text)["angles"] == _b64(grid, "<f8")
             assert _bits(load_region(tmp_path / "r.json")[0].curve) == _bits(region.curve)
-        # -0.0 and 0.0 are two grids
+        # -0.0 and 0.0 are two grids: the sign is the top bit of the eighth byte
         zero = zero_first.copy()
         zero[0] = 0.0
         texts = [_written(tmp_path, _boundary(grid), {}) for grid in (zero_first, zero)]
-        assert texts[0].startswith('{"kind": "boundary", "angles": [-0.0, ')
-        assert texts[1].startswith('{"kind": "boundary", "angles": [0.0, ')
+        assert texts[0].startswith('{"kind": "boundary", "angles": "AAAAAAAAAI')
+        assert texts[1].startswith('{"kind": "boundary", "angles": "AAAAAAAAAA')
 
     @pytest.mark.parametrize("n", [8, 720])
     def test_file_listing_a_default_grid_loads_the_same_curve(self, tmp_path, n):
         # files written before the count form list every angle
         region = _boundary(default_angles(n))
-        payload = region_to_payload(region, {"set": "fov"})
+        payload = _listed(region, {"set": "fov"})
         assert payload["angles"] == n
         payload["angles"] = [float(t) for t in region.curve.angles]
         path = tmp_path / "r.json"
@@ -453,8 +460,114 @@ class TestAngleGridReuse:
         assert not path.exists()
 
 
+def _listed(region, meta):
+    """The boundary payload in the list layout that files written before the base64
+    form use: numbers, and [re, im] pairs for the points."""
+    curve = region.curve
+    payload = region_to_payload(region, meta)
+    if type(payload["angles"]) is not int:
+        payload["angles"] = curve.angles.tolist()
+    payload["support"] = curve.support.tolist()
+    payload["points"] = np.column_stack([curve.points.real, curve.points.imag]).tolist()
+    return payload
+
+
+class TestBoundaryEncoding:
+    """The written layout, read with json, base64 and numpy alone, and the list layout
+    of earlier files, read by the loader."""
+
+    def test_file_decodes_by_its_spec(self, tmp_path, rng):
+        curve = fov_boundary(rand_complex(rng, 5, 5), 720)
+        meta = {"set": "fov", "sigma": [2.0, 1.0], "tool_version": "0.1.0"}
+        path = tmp_path / "fov.json"
+        save_region(path, ConvexBoundary(curve), meta)
+        payload = json.loads(path.read_text())
+        assert list(payload) == ["kind", "angles", "support", "points", "meta"]
+        assert payload["angles"] == 720 and payload["meta"] == meta
+        angles = np.linspace(0.0, 2.0 * np.pi, payload["angles"], endpoint=False)
+        support = np.array(payload["support"], "<f8")
+        points = np.frombuffer(base64.b64decode(payload["points"]), "<c16")
+        # <c16 is re0, im0, re1, im1, ... as little-endian doubles
+        xy = np.frombuffer(base64.b64decode(payload["points"]), "<f8").reshape(-1, 2)
+        assert _bits(BoundaryCurve(angles, support, points)) == _bits(curve)
+        assert xy[:, 0].tobytes() == curve.points.real.tobytes()
+        assert xy[:, 1].tobytes() == curve.points.imag.tobytes()
+
+    def test_text_in_the_list_layout_loads_bit_for_bit(self, tmp_path):
+        text = ('{"kind": "boundary", "angles": [-0.0, 1.5, 3.0], "support": [1.0, -0.0, 5e-324], '
+                '"points": [[1.0, -0.0], [-0.0, 2.5], [1.7e+308, -2.2250738585072014e-308]], '
+                '"meta": {"set": "wl"}}')
+        path = tmp_path / "r.json"
+        path.write_text(text)
+        loaded, meta = load_region(path)
+        xy = np.array([[1.0, -0.0], [-0.0, 2.5], [1.7e308, -2.2250738585072014e-308]])
+        expected = BoundaryCurve(np.array([-0.0, 1.5, 3.0]), np.array([1.0, -0.0, 5e-324]),
+                                 xy.view(complex)[:, 0])
+        assert _bits(loaded.curve) == _bits(expected) and meta == {"set": "wl"}
+
+    @pytest.mark.parametrize("grid", ["default", "listed"])
+    def test_list_layout_of_a_sweep_loads_bit_for_bit(self, tmp_path, rng, grid):
+        angles = default_angles(720) if grid == "default" else np.sort(rng.uniform(0, 6, 90))
+        region = _boundary(angles)
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(_listed(region, {"set": "wl"})))
+        assert _bits(load_region(path)[0].curve) == _bits(region.curve)
+
+
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                  -2.2250738585072014e-308, 1.7e308, -1.7e308])
+FINITE_FLOATS = st.one_of(SPECIAL_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _grids(draw):
+    n = draw(st.integers(2, 40))
+    grid = default_angles(n)
+    kind = draw(st.sampled_from(["default", "zero-first", "ulp-off", "any"]))
+    if kind == "zero-first":
+        grid[0] = -0.0
+    elif kind == "ulp-off":
+        j = draw(st.integers(1, n - 1))
+        grid[j] = np.nextafter(grid[j], -1.0 if draw(st.booleans()) else 7.0)
+    elif kind == "any":
+        # angle-sized values: BoundaryCurve's ascending test warns on overflow when
+        # neighbours lie more than the float range apart
+        small = st.one_of(SPECIAL_FLOATS.filter(lambda t: abs(t) < 1.0), st.floats(-7.0, 7.0))
+        grid = np.unique(draw(st.lists(small, min_size=2, max_size=40)))
+        if len(grid) < 2:
+            grid = np.array([-0.0, 5e-324])
+    return grid
+
+
+@settings(max_examples=120, deadline=None)
+@given(_grids(), st.data())
+def test_round_trip_is_bit_for_bit(tmp_path_factory, angles, data):
+    n = len(angles)
+    default = angles.tobytes() == default_angles(n).tobytes()
+    support = np.array(data.draw(st.lists(FINITE_FLOATS, min_size=n, max_size=n)))
+    xy = np.array(data.draw(st.lists(FINITE_FLOATS, min_size=2 * n, max_size=2 * n)))
+    curve = BoundaryCurve(angles, support, xy.reshape(n, 2).view(complex)[:, 0])
+    path = tmp_path_factory.getbasetemp() / "round-trip.json"
+    save_region(path, ConvexBoundary(curve), {"set": "wl"})
+    assert (json.loads(path.read_text())["angles"] == n) is default
+    assert _bits(load_region(path)[0].curve) == _bits(curve)
+
+
 def _boundary_payload():
-    return json.loads(json.dumps(region_to_payload(_boundary(default_angles(8)), {"set": "fov"})))
+    """A default-grid boundary payload in the list layout."""
+    return json.loads(json.dumps(_listed(_boundary(default_angles(8)), {"set": "fov"})))
+
+
+def _encoded_payload():
+    """A boundary payload with every array, its 8 angles too, as base64 text: the
+    writer lists the support, and the reader takes either form of each array."""
+    region = _boundary(default_angles(8) + 0.125)
+    payload = region_to_payload(region, {"set": "wl"})
+    payload["support"] = _b64(region.curve.support, "<f8")
+    return json.loads(json.dumps(payload))
+
+
+_DTYPES = {"angles": "<f8", "support": "<f8", "points": "<c16"}
 
 
 class TestMalformedRegionPayloads:
@@ -483,9 +596,10 @@ class TestMalformedRegionPayloads:
                 region_from_payload(short)
 
     @pytest.mark.parametrize("entry", [[1.0], [1.0, 2.0, 3.0], 5, None, "ab", [1.0, [2.0]],
-                                       {"re": 1.0, "im": 2.0}])
+                                       {"re": 1.0, "im": 2.0}, ["1.5", True]])
     def test_boundary_point_that_is_not_a_pair(self, entry):
-        # a one-element point raised "not enough values to unpack"
+        # a one-element point raised "not enough values to unpack", and ["1.5", true]
+        # loaded as 1.5+1j
         payload = _boundary_payload()
         payload["points"][3] = entry
         with pytest.raises(ValueError, match=r"boundary point 3 must be an \[re, im\] pair"):
@@ -502,6 +616,7 @@ class TestMalformedRegionPayloads:
         ("angles", {"a": 1}), ("angles", 720.0), ("angles", True), ("angles", "x"),
         ("angles", [1.0, "2"]), ("angles", [[1.0]]), ("angles", [True, False]),
         ("support", "x"), ("support", None), ("support", [1.0, [2.0]]), ("support", ["1.5"]),
+        ("support", [1.0, True]),
     ])
     def test_boundary_list_of_the_wrong_type(self, key, value):
         # {"a": 1} raised TypeError, and "x" numpy's "could not convert string to float"
@@ -528,10 +643,73 @@ class TestMalformedRegionPayloads:
     @pytest.mark.parametrize("key, value, shape", [
         ("center", [1.0], "pair"), ("center", 5.0, "pair"), ("center", [1.0, 2.0, 3.0], "pair"),
         ("center", [1.0, None], "pair"), ("radius", [1.0], "number"), ("radius", None, "number"),
-        ("radius", "wide", "number"),
+        ("radius", "wide", "number"), ("radius", "2.5", "number"), ("radius", True, "number"),
     ])
     def test_disc_entry_of_the_wrong_shape(self, key, value, shape):
+        # "radius": "2.5" loaded as 2.5, and true as 1.0
         payload = region_to_payload(Disc(0.1 + 0.2j, 1.75), {})
         payload[key] = value
         with pytest.raises(ValueError, match=f"disc region's '{key}' must be an? .*{shape}"):
+            region_from_payload(payload)
+
+    @pytest.mark.parametrize("key", ["angles", "support", "points"])
+    @pytest.mark.parametrize("text", ["AAAA!AAAAAAA", "AAAAAAAAAAA=\n", "AAAAAAAAAA", "\u00c5AAA"],
+                             ids=["alphabet", "newline", "padding", "not-ascii"])
+    def test_encoded_array_that_is_not_base64(self, key, text):
+        payload = _encoded_payload()
+        payload[key] = text
+        with pytest.raises(ValueError, match=f"boundary region's '{key}' must be .* or base64 text"):
+            region_from_payload(payload)
+
+    @pytest.mark.parametrize("key, size", [
+        ("angles", 60), ("support", 12), ("points", 8), ("points", 120),
+    ])
+    def test_encoded_byte_count_that_is_not_whole_values(self, key, size):
+        payload = _encoded_payload()
+        payload[key] = base64.b64encode(bytes(size)).decode("ascii")
+        with pytest.raises(ValueError, match=f"boundary region's '{key}' holds {size} bytes, "
+                                             f"not a whole number of {_DTYPES[key]} values"):
+            region_from_payload(payload)
+
+    @pytest.mark.parametrize("key, n, message", [
+        ("angles", 7, "'angles' has 7 values and its 'support' 8"),
+        ("points", 9, "'points' has 9 values and its 'support' 8"),
+        ("support", 9, "'angles' has 8 values and its 'support' 9"),
+    ])
+    def test_encoded_arrays_of_different_lengths(self, key, n, message):
+        payload = _encoded_payload()
+        payload[key] = _b64(np.arange(1.0, n + 1.0), _DTYPES[key])
+        with pytest.raises(ValueError, match=f"boundary region's {message}"):
+            region_from_payload(payload)
+
+    @pytest.mark.parametrize("key, value", [
+        ("angles", np.nan), ("angles", np.inf), ("support", np.nan), ("support", -np.inf),
+        ("points", complex(np.nan, 0.0)), ("points", complex(0.0, np.inf)),
+    ])
+    def test_encoded_value_that_is_not_finite(self, key, value):
+        payload = _encoded_payload()
+        arr = np.frombuffer(base64.b64decode(payload[key]), _DTYPES[key]).copy()
+        arr[5] = value
+        payload[key] = _b64(arr, _DTYPES[key])
+        with pytest.raises(ValueError, match=f"boundary region's '{key}' must be finite"):
+            region_from_payload(payload)
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"kind": "disc", "center": [0, 0], "radius": Infinity}', "radius"),
+        ('{"kind": "point", "point": [NaN, 0]}', "point"),
+        ('{"kind": "disc", "center": [0, 0], "radius": 1' + "0" * 400 + "}", "radius"),
+        ('{"kind": "segment", "start": [0, 0], "end": [1' + "0" * 400 + ", 0]}", "end"),
+    ], ids=["inf-radius", "nan-point", "400-digit-radius", "400-digit-end"])
+    def test_number_that_is_not_finite(self, text, key):
+        # loaded as Disc(0j, inf) and Point(nan+0j), which save_region refuses to
+        # write; the 400-digit integers raised a bare OverflowError
+        with pytest.raises(ValueError, match=f"region's '{key}' must be finite"):
+            region_from_payload(json.loads(text))
+
+    @pytest.mark.parametrize("key", ["support", "points"])
+    def test_listed_integer_beyond_the_float_range(self, key):
+        # a listed point raised a bare OverflowError; support was refused as no number
+        payload = _boundary_payload()
+        payload[key][2] = [10**400, 0] if key == "points" else 10**400
+        with pytest.raises(ValueError, match=f"boundary region's '{key}' must be finite"):
             region_from_payload(payload)
